@@ -9,7 +9,6 @@ slot's ranks dense in 1..cap.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -104,8 +103,7 @@ class CandidateGenerator:
     """All nine generators over one dataset variant.
 
     Indexes (inverted user/item indexes, token matrices, the popularity
-    ranking) are built once in the constructor and never mutated, so
-    generate() is safe to call from multiple threads.
+    ranking) are built once in the constructor and never mutated.
     """
 
     def __init__(
@@ -288,14 +286,8 @@ class CandidateGenerator:
         put("global_popular", self.gen_popular())
         return merged
 
-    def generate_all(self, user_ids: Iterable[int], threads: int = 1) -> dict[int, CandidateList]:
-        ids = list(user_ids)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                lists = list(pool.map(self.generate, ids))
-        else:
-            lists = [self.generate(u) for u in ids]
-        return {u: cl for u, cl in zip(ids, lists)}
+    def generate_all(self, user_ids: Iterable[int]) -> dict[int, CandidateList]:
+        return {u: self.generate(u) for u in user_ids}
 
 
 def coverage(candidates: Mapping[int, CandidateList], ground_truth: Mapping[int, set[int]]) -> float:

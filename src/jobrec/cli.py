@@ -1,8 +1,7 @@
 """Command line interface: one subcommand per pipeline stage.
 
 Stages communicate through files only, so any stage can be re-run in
-isolation. Worker count comes from --threads, the config file or the
-RECSYS_THREADS environment variable.
+isolation.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ def common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(exists=True), default=None,
                       help="key=value config file")(fn)
     fn = click.option("--seed", type=int, default=None, help="override the pipeline seed")(fn)
-    fn = click.option("--threads", type=int, default=None, help="worker threads for per-user stages")(fn)
     fn = click.option("--verbose", is_flag=True, default=False)(fn)
     return fn
 
@@ -54,10 +52,10 @@ def main() -> None:
 @click.option("--active-fraction", type=float, default=0.55, show_default=True)
 @common_options
 def synth_cmd(out_dir, users, items, weeks, topics, target_fraction, active_fraction,
-              config_path, seed, threads, verbose):
+              config_path, seed, verbose):
     """Generate a synthetic challenge-format dataset."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads)
+    cfg = load_config(config_path, seed=seed)
     sc = synth.SynthConfig(
         users=users, items=items, weeks=weeks, seed=cfg.seed, topics=topics,
         target_fraction=target_fraction, active_fraction=active_fraction,
@@ -73,10 +71,10 @@ def synth_cmd(out_dir, users, items, weeks, topics, target_fraction, active_frac
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--holdout-weeks", type=int, default=None)
 @common_options
-def split_cmd(data_dir, out_dir, holdout_weeks, config_path, seed, threads, verbose):
+def split_cmd(data_dir, out_dir, holdout_weeks, config_path, seed, verbose):
     """Cut the last week(s) into a holdout and write the training variant."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads, holdout_weeks=holdout_weeks)
+    cfg = load_config(config_path, seed=seed, holdout_weeks=holdout_weeks)
     dataset = dataio.load_dataset(data_dir)
     train, holdout = temporal_split(dataset, cfg.holdout_weeks)
     truth = build_ground_truth(holdout, dataset.target_users)
@@ -98,15 +96,15 @@ def split_cmd(data_dir, out_dir, holdout_weeks, config_path, seed, threads, verb
 @click.option("--neighbors", type=int, default=None, help="similar users consulted")
 @common_options
 def candidates_cmd(data_dir, out_path, which_users, cap, neighbors,
-                   config_path, seed, threads, verbose):
+                   config_path, seed, verbose):
     """Run the nine candidate generators and merge their rankings."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads,
+    cfg = load_config(config_path, seed=seed,
                       candidate_cap=cap, neighbor_count=neighbors)
     dataset = dataio.load_dataset(data_dir)
     users = dataset.target_users if which_users == "target" else sorted(dataset.users)
     gen = cand_mod.CandidateGenerator(dataset, cfg.candidate_cap, cfg.neighbor_count)
-    lists = gen.generate_all(users, threads=cfg.resolve_threads())
+    lists = gen.generate_all(users)
     cand_mod.save_candidates(lists, out_path, cfg.provenance("candidates"))
     total = sum(len(cl) for cl in lists.values())
     log.info("wrote %d candidates for %d users to %s", total, len(lists), out_path)
@@ -122,15 +120,14 @@ def candidates_cmd(data_dir, out_path, which_users, cap, neighbors,
 @click.option("--mode", "sampling_mode", type=click.Choice(["paper", "extended"]), default=None)
 @common_options
 def features_cmd(data_dir, cand_path, out_path, truth_path, valid_path, sampling_mode,
-                 config_path, seed, threads, verbose):
+                 config_path, seed, verbose):
     """Extract feature matrices for candidate pairs."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads, sampling_mode=sampling_mode)
+    cfg = load_config(config_path, seed=seed, sampling_mode=sampling_mode)
     dataset = dataio.load_dataset(data_dir)
     lists = cand_mod.load_candidates(cand_path)
-    n_threads = cfg.resolve_threads()
     if truth_path is None:
-        matrix = features.build_matrix(dataset, lists, threads=n_threads)
+        matrix = features.build_matrix(dataset, lists)
         matrix.save(out_path, cfg.provenance("features"))
         log.info("wrote %d feature rows to %s", len(matrix), out_path)
         return
@@ -140,11 +137,11 @@ def features_cmd(data_dir, cand_path, out_path, truth_path, valid_path, sampling
     tf = pipeline.build_training_file(lists, truth, cfg.sampling_mode, cfg.seed)
     train_matrix = features.build_matrix(
         dataset, lists, rows=[(u, i) for u, i, _ in tf.train_rows],
-        ground_truth=truth, threads=n_threads,
+        ground_truth=truth,
     )
     valid_matrix = features.build_matrix(
         dataset, lists, rows=[(u, i) for u, i, _ in tf.valid_rows],
-        ground_truth=truth, threads=n_threads,
+        ground_truth=truth,
     )
     train_matrix.save(out_path, cfg.provenance("features-train"))
     valid_matrix.save(valid_path, cfg.provenance("features-valid"))
@@ -167,10 +164,10 @@ def features_cmd(data_dir, cand_path, out_path, truth_path, valid_path, sampling
 @common_options
 def train_cmd(train_path, valid_path, model_path, importance_out, max_depth, min_child_weight,
               eta, gamma, num_round, reg_lambda, early_stopping_rounds,
-              config_path, seed, threads, verbose):
+              config_path, seed, verbose):
     """Fit the boosted-tree ranking model."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads, max_depth=max_depth,
+    cfg = load_config(config_path, seed=seed, max_depth=max_depth,
                       min_child_weight=min_child_weight, eta=eta, gamma=gamma,
                       num_round=num_round, reg_lambda=reg_lambda,
                       early_stopping_rounds=early_stopping_rounds)
@@ -213,10 +210,10 @@ def _check_active(dataset, predictions) -> None:
 @click.option("--scores-out", type=click.Path(), default=None)
 @common_options
 def predict_cmd(data_dir, model_path, features_path, out_path, scores_out,
-                config_path, seed, threads, verbose):
+                config_path, seed, verbose):
     """Score candidates with one model and emit top-30 predictions."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads)
+    cfg = load_config(config_path, seed=seed)
     dataset = dataio.load_dataset(data_dir)
     matrix = features.FeatureMatrix.load(features_path)
     model = GbdtModel.load(model_path)
@@ -234,10 +231,10 @@ def predict_cmd(data_dir, model_path, features_path, out_path, scores_out,
 @click.option("--scores-out", type=click.Path(), default=None)
 @common_options
 def blend_cmd(data_dir, features_path, model_paths, out_path, scores_out,
-              config_path, seed, threads, verbose):
+              config_path, seed, verbose):
     """Average the probabilities of several models, then select top-30."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads)
+    cfg = load_config(config_path, seed=seed)
     dataset = dataio.load_dataset(data_dir)
     matrix = features.FeatureMatrix.load(features_path)
     models = [GbdtModel.load(p) for p in model_paths]
@@ -253,10 +250,10 @@ def blend_cmd(data_dir, features_path, model_paths, out_path, scores_out,
 @click.option("--method", type=click.Choice(["recency", "popular"]), default="recency",
               show_default=True)
 @common_options
-def baseline_cmd(data_dir, out_path, method, config_path, seed, threads, verbose):
+def baseline_cmd(data_dir, out_path, method, config_path, seed, verbose):
     """Model-free baselines over the same dataset."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads)
+    cfg = load_config(config_path, seed=seed)
     dataset = dataio.load_dataset(data_dir)
     if method == "recency":
         preds = pipeline.baseline_recency(dataset)
@@ -277,10 +274,10 @@ def baseline_cmd(data_dir, out_path, method, config_path, seed, threads, verbose
               help="score even when input provenance hashes disagree")
 @common_options
 def evaluate_cmd(pred_path, truth_path, recall_mode, report_out, sample_fraction, force,
-                 config_path, seed, threads, verbose):
+                 config_path, seed, verbose):
     """Score a prediction file against held-out ground truth."""
     _setup_logging(verbose)
-    cfg = load_config(config_path, seed=seed, threads=threads, recall_mode=recall_mode)
+    cfg = load_config(config_path, seed=seed, recall_mode=recall_mode)
     prov_pred = dataio.read_provenance(pred_path)
     prov_truth = dataio.read_provenance(truth_path)
     if (

@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .gbdt import TrainConfig
 
-THREADS_ENV = "RECSYS_THREADS"
-
 # knobs that change results and therefore feed the provenance hash;
-# paths, thread counts and verbosity intentionally excluded
+# paths and verbosity intentionally excluded
 _HASHED_FIELDS = (
     "seed",
     "holdout_weeks",
@@ -51,7 +48,6 @@ class PipelineConfig:
     num_round: int = 1000
     reg_lambda: float = 1.0
     early_stopping_rounds: int | None = 20
-    threads: int = 0  # 0 means: RECSYS_THREADS env var, else 1
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -72,20 +68,6 @@ class PipelineConfig:
 
     def provenance(self, stage: str) -> dict[str, object]:
         return {"stage": stage, "config": self.config_hash(), "seed": self.seed}
-
-    def resolve_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get(THREADS_ENV, "")
-        if env.strip():
-            try:
-                n = int(env)
-            except ValueError:
-                raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-            if n < 1:
-                raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
-            return n
-        return 1
 
 
 def _coerce(raw: str):

@@ -155,12 +155,6 @@ class EventLog:
     def impressions_of(self, user_id: int) -> list[Impression]:
         return self.by_user_impressions.get(user_id, [])
 
-    def item_interactions(self, item_id: int) -> list[Interaction]:
-        return self.by_item_interactions.get(item_id, [])
-
-    def item_impressions(self, item_id: int) -> list[Impression]:
-        return self.by_item_impressions.get(item_id, [])
-
     def int_items(self, user_id: int) -> frozenset[int]:
         """Items the user interacted with positively (click/bookmark/reply)."""
         return self._int_items.get(user_id, _EMPTY)
@@ -177,9 +171,6 @@ class EventLog:
 
     def imp_users(self, item_id: int) -> frozenset[int]:
         return self._imp_users.get(item_id, _EMPTY)
-
-    def users_with_positives(self) -> list[int]:
-        return sorted(self._int_items)
 
 
 @dataclass

@@ -15,8 +15,8 @@ in the schema (-1 unless noted).
 
 from __future__ import annotations
 
+import zipfile
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .candidates import SLOT_NAMES, CandidateList
-from .dataio import DataFormatError, _read_table, _write_tsv
+from .dataio import DataFormatError
 from .entities import (
     DAY_SECONDS,
     Dataset,
@@ -41,6 +41,9 @@ GEO_SENTINEL = -999.0
 CLUSTER_WINDOW_SECONDS = 600
 
 _ATTRS = ["career_level", "discipline_id", "industry_id", "country", "region"]
+
+# arrays a feature-matrix archive must hold to load; "labels" is optional
+_MATRIX_ARRAYS = ("user_ids", "item_ids", "values", "names", "groups", "sentinels")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,17 +74,6 @@ class FeatureSchema:
 
     def group_of(self, name: str) -> str:
         return self.specs[self._index[name]].group
-
-    def save(self, path: str | Path) -> None:
-        rows = ([s.name, s.group, repr(s.sentinel)] for s in self.specs)
-        _write_tsv(Path(path), ["name", "group", "sentinel"], rows)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FeatureSchema":
-        specs = []
-        for _, cols, f in _read_table(Path(path), ["name", "group", "sentinel"]):
-            specs.append(FeatureSpec(f[cols["name"]], f[cols["group"]], float(f[cols["sentinel"]])))
-        return cls(specs)
 
 
 def build_schema() -> FeatureSchema:
@@ -201,57 +193,57 @@ class FeatureMatrix:
         return len(self.user_ids)
 
     def save(self, path: str | Path, provenance=None) -> None:
-        path = Path(path)
-        header = ["user_id", "item_id"]
+        """One uncompressed .npz archive, written at exactly `path`.
+
+        Arrays: user_ids, item_ids, values, labels (when present), the
+        schema as names/groups/sentinels, and provenance as key=value
+        strings.
+        """
+        specs = self.schema.specs
+        arrays = {
+            "user_ids": self.user_ids,
+            "item_ids": self.item_ids,
+            "values": self.values,
+            "names": np.array([s.name for s in specs], dtype=np.str_),
+            "groups": np.array([s.group for s in specs], dtype=np.str_),
+            "sentinels": np.array([s.sentinel for s in specs], dtype=np.float64),
+            "provenance": np.array(
+                [f"{k}={v}" for k, v in (provenance or {}).items()], dtype=np.str_
+            ),
+        }
         if self.labels is not None:
-            header.append("label")
-        header += self.schema.names
-
-        def rows():
-            for r in range(len(self)):
-                row = [str(int(self.user_ids[r])), str(int(self.item_ids[r]))]
-                if self.labels is not None:
-                    row.append(repr(float(self.labels[r])))
-                row += [repr(float(v)) for v in self.values[r]]
-                yield row
-
-        _write_tsv(path, header, rows(), provenance)
-        self.schema.save(schema_path(path))
+            arrays["labels"] = self.labels
+        # np.savez appends ".npz" to a path argument; a handle keeps the name
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "FeatureMatrix":
         path = Path(path)
-        schema = FeatureSchema.load(schema_path(path))
-        users: list[int] = []
-        items: list[int] = []
-        labels: list[float] = []
-        values: list[list[float]] = []
-        has_label: bool | None = None
-        for lineno, cols, f in _read_table(path, ["user_id", "item_id"]):
-            if has_label is None:
-                has_label = "label" in cols
-                missing = [n for n in schema.names if n not in cols]
-                if missing:
-                    raise DataFormatError(f"{path}: columns missing for features {missing[:3]}...")
-            try:
-                users.append(int(f[cols["user_id"]]))
-                items.append(int(f[cols["item_id"]]))
-                if has_label:
-                    labels.append(float(f[cols["label"]]))
-                values.append([float(f[cols[n]]) for n in schema.names])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric field") from None
-        return cls(
-            schema=schema,
-            user_ids=np.array(users, dtype=np.int64),
-            item_ids=np.array(items, dtype=np.int64),
-            values=np.array(values, dtype=np.float64).reshape(len(users), len(schema)),
-            labels=np.array(labels, dtype=np.float64) if has_label else None,
-        )
-
-
-def schema_path(matrix_path: str | Path) -> Path:
-    return Path(str(matrix_path) + ".schema")
+        try:
+            archive = np.load(path, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a single .npy array")
+            with archive:
+                arrays = {name: archive[name] for name in archive.files}
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise DataFormatError(f"{path}: not a feature-matrix .npz archive ({exc})") from None
+        missing = [name for name in _MATRIX_ARRAYS if name not in arrays]
+        if missing:
+            raise DataFormatError(f"{path}: missing arrays {missing}")
+        try:
+            columns = zip(arrays["names"], arrays["groups"], arrays["sentinels"], strict=True)
+            specs = [FeatureSpec(str(n), str(g), float(s)) for n, g, s in columns]
+            labels = arrays.get("labels")
+            return cls(
+                schema=FeatureSchema(specs),
+                user_ids=np.asarray(arrays["user_ids"], dtype=np.int64),
+                item_ids=np.asarray(arrays["item_ids"], dtype=np.int64),
+                values=np.asarray(arrays["values"], dtype=np.float64),
+                labels=None if labels is None else np.asarray(labels, dtype=np.float64),
+            )
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
 
 
 class FeatureExtractor:
@@ -290,7 +282,6 @@ class FeatureExtractor:
         self._build_item_user_matrices()
         self._build_jobroles()
 
-        self._user_cache: dict[int, dict] = {}
         self._item_attr_counts: dict[int, tuple[int, dict[str, dict[int, int]]]] = {}
 
     # -------------------------------------------------------- precomputation
@@ -394,12 +385,9 @@ class FeatureExtractor:
         self._item_attr_counts[item_id] = entry
         return entry
 
-    # ------------------------------------------------------- per-user caches
+    # -------------------------------------------------------- per-user state
 
     def _user_state(self, user_id: int) -> dict:
-        state = self._user_cache.get(user_id)
-        if state is not None:
-            return state
         events = self.events.interactions_of(user_id)
         positive = [e for e in events if e.kind in POSITIVE_KINDS]
         imps = self.events.impressions_of(user_id)
@@ -480,7 +468,7 @@ class FeatureExtractor:
         for i in int_items:
             cluster_hits |= self.cluster.neighbors(i)
 
-        state = {
+        return {
             "positive": positive,
             "last_ts": last_ts,
             "last_any": last_any,
@@ -510,8 +498,6 @@ class FeatureExtractor:
             "cluster_hits": cluster_hits,
             "user": user,
         }
-        self._user_cache[user_id] = state
-        return state
 
     # ---------------------------------------------------------- block pieces
 
@@ -732,7 +718,6 @@ def build_matrix(
     rows: Sequence[tuple[int, int]] | None = None,
     ground_truth: GroundTruth | None = None,
     cluster_index: ItemClusterIndex | None = None,
-    threads: int = 1,
 ) -> FeatureMatrix:
     """Feature matrix for (user, item) pairs.
 
@@ -751,15 +736,10 @@ def build_matrix(
             grouped.setdefault(u, []).append(i)
         per_user = list(grouped.items())
 
-    def run(entry: tuple[int, list[int]]) -> np.ndarray:
-        u, its = entry
-        return extractor.block(u, its) if its else np.empty((0, len(extractor.schema)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run, per_user))
-    else:
-        blocks = [run(e) for e in per_user]
+    blocks = [
+        extractor.block(u, its) if its else np.empty((0, len(extractor.schema)))
+        for u, its in per_user
+    ]
 
     users_out: list[int] = []
     items_out: list[int] = []

@@ -214,10 +214,11 @@ class GbdtModel:
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
         if feature_names is not None and list(feature_names) != self.feature_names:
             raise ValueError("feature schema does not match the model's training schema")
-        if np.asarray(X).shape[1] != len(self.feature_names):
-            raise ValueError(
-                f"expected {len(self.feature_names)} features, got {np.asarray(X).shape[1]}"
-            )
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[1] != len(self.feature_names):
+            raise ValueError(f"expected {len(self.feature_names)} features, got {X.shape[1]}")
+        if not np.isfinite(X).all():
+            raise ValueError("prediction matrix contains NaN or infinite values")
         return np.clip(sigmoid(self.predict_margin(X)), PROB_EPS, 1.0 - PROB_EPS)
 
     def feature_importance(self) -> dict[str, int]:

@@ -111,15 +111,20 @@ def rank_and_select(
     limit: int = PREDICTION_LIMIT,
 ) -> list[Prediction]:
     """Per user: drop deleted items, order by probability desc (ties by
-    ascending item id), truncate. Users keep matrix row order."""
+    ascending item id), truncate. Users keep matrix row order; each
+    user's rows must be contiguous."""
     if len(probs) != len(matrix):
         raise ValueError("probability vector length does not match matrix rows")
     out: list[Prediction] = []
     users = matrix.user_ids
     boundaries = np.nonzero(np.diff(users))[0] + 1
     starts = [0, *boundaries.tolist(), len(users)]
+    seen: set[int] = set()
     for a, b in zip(starts[:-1], starts[1:]):
         u = int(users[a])
+        if u in seen:
+            raise ValueError(f"rows of user {u} are not contiguous in the feature matrix")
+        seen.add(u)
         del_u = deletes.get(u, frozenset()) if deletes is not None else frozenset()
         items = matrix.item_ids[a:b]
         p = probs[a:b]

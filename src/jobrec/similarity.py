@@ -157,9 +157,3 @@ def user_impression_index(event_log) -> SparseSetIndex:
         {u: event_log.imp_items(u) for u in event_log.by_user_impressions}
     )
 
-
-def item_user_index(event_log) -> SparseSetIndex:
-    """item -> set of positively interacting users."""
-    return SparseSetIndex(
-        {i: event_log.int_users(i) for i in event_log.by_item_interactions if event_log.int_users(i)}
-    )

@@ -24,8 +24,6 @@ from test_candidates import random_dataset
 from test_gbdt import fd_grad_hess
 from test_similarity import brute_jaccard_topk, brute_overlap_topk
 
-THREADS = 4
-
 CRITERIA = {
     1: "metric oracle equivalence",
     2: "similarity oracle equivalence",
@@ -250,9 +248,7 @@ class TestCriterion7:
         train_ds, _ = temporal_split(ds, 1)
         inner_train, inner_holdout = temporal_split(train_ds, 1)
         inner_truth = build_ground_truth(inner_holdout, ds.target_users)
-        lists = CandidateGenerator(inner_train, 60, 60).generate_all(
-            sorted(inner_truth), threads=THREADS
-        )
+        lists = CandidateGenerator(inner_train, 60, 60).generate_all(sorted(inner_truth))
         tf = pipeline.build_training_file(lists, inner_truth, "paper", 5)
 
         eligible = [u for u in sorted(inner_truth) if u in lists and len(lists[u]) > 0]
@@ -278,21 +274,19 @@ class TestCriterion7:
 
         tm = features.build_matrix(
             inner_train, lists, rows=[(u, i) for u, i, _ in tf.train_rows],
-            ground_truth=inner_truth, threads=THREADS,
+            ground_truth=inner_truth,
         )
         vm = features.build_matrix(
             inner_train, lists, rows=[(u, i) for u, i, _ in tf.valid_rows],
-            ground_truth=inner_truth, threads=THREADS,
+            ground_truth=inner_truth,
         )
         cfg = TrainConfig(num_round=30, eta=0.1, gamma=0.5, min_child_weight=2.0,
                           early_stopping_rounds=5)
         model = train(tm.values, tm.labels, cfg, feature_names=tm.schema.names,
                       valid=(vm.values, vm.labels))
 
-        outer_lists = CandidateGenerator(train_ds, 60, 60).generate_all(
-            ds.target_users, threads=THREADS
-        )
-        matrix = features.build_matrix(train_ds, outer_lists, threads=THREADS)
+        outer_lists = CandidateGenerator(train_ds, 60, 60).generate_all(ds.target_users)
+        matrix = features.build_matrix(train_ds, outer_lists)
         deletes = {int(u): train_ds.events.del_items(int(u))
                    for u in set(matrix.user_ids.tolist())}
         preds = pipeline.score_and_select(model, matrix, deletes)
@@ -326,9 +320,7 @@ class TestCriterion6:
         inner_train, inner_holdout = temporal_split(train_ds, 1)
         inner_truth = build_ground_truth(inner_holdout, ds.target_users)
 
-        inner_lists = CandidateGenerator(inner_train, 60, 60).generate_all(
-            sorted(inner_truth), threads=THREADS
-        )
+        inner_lists = CandidateGenerator(inner_train, 60, 60).generate_all(sorted(inner_truth))
         cfg = TrainConfig(max_depth=5, min_child_weight=2.0, eta=0.05, gamma=0.5,
                           num_round=500, reg_lambda=1.0, early_stopping_rounds=30)
         models = []
@@ -337,20 +329,18 @@ class TestCriterion6:
                                               seed * 100 + k)
             tm = features.build_matrix(
                 inner_train, inner_lists, rows=[(u, i) for u, i, _ in tf.train_rows],
-                ground_truth=inner_truth, threads=THREADS,
+                ground_truth=inner_truth,
             )
             vm = features.build_matrix(
                 inner_train, inner_lists, rows=[(u, i) for u, i, _ in tf.valid_rows],
-                ground_truth=inner_truth, threads=THREADS,
+                ground_truth=inner_truth,
             )
             models.append(train(tm.values, tm.labels, cfg,
                                 feature_names=tm.schema.names,
                                 valid=(vm.values, vm.labels)))
 
-        outer_lists = CandidateGenerator(train_ds, 60, 60).generate_all(
-            ds.target_users, threads=THREADS
-        )
-        matrix = features.build_matrix(train_ds, outer_lists, threads=THREADS)
+        outer_lists = CandidateGenerator(train_ds, 60, 60).generate_all(ds.target_users)
+        matrix = features.build_matrix(train_ds, outer_lists)
         deletes = {int(u): train_ds.events.del_items(int(u))
                    for u in set(matrix.user_ids.tolist())}
         preds = pipeline.blend(models, matrix, deletes)

@@ -366,11 +366,3 @@ class TestRoundTrip:
         for u in cands:
             assert back[u].ranks == cands[u].ranks
             assert back[u].items() == cands[u].items()
-
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(22)
-        ds = random_dataset(rng)
-        gen = CandidateGenerator(ds)
-        seq = gen.generate_all(sorted(ds.users), threads=1)
-        par = gen.generate_all(sorted(ds.users), threads=4)
-        assert {u: c.ranks for u, c in seq.items()} == {u: c.ranks for u, c in par.items()}

@@ -86,13 +86,6 @@ class TestDeterminism:
         for f in sorted((tmp_path / "one").iterdir()):
             assert f.read_bytes() == (tmp_path / "two" / f.name).read_bytes(), f.name
 
-    def test_candidates_threads_invariant(self, chain, tmp_path):
-        runner, root, data, split = chain
-        out4 = tmp_path / "cands4.tsv"
-        run(runner, "candidates", "--data", split, "--out", out4,
-            "--seed", 7, "--threads", 4)
-        assert out4.read_bytes() == (split / "cands.tsv").read_bytes()
-
 
 class TestProvenance:
     def test_mixed_provenance_refused_then_forced(self, chain, tmp_path):

@@ -1,8 +1,8 @@
-"""Config defaults, file parsing, provenance hashing, thread resolution."""
+"""Config defaults, file parsing, provenance hashing."""
 
 import pytest
 
-from jobrec.config import PipelineConfig, THREADS_ENV, load_config, parse_config_file
+from jobrec.config import PipelineConfig, load_config, parse_config_file
 
 
 class TestDefaults:
@@ -74,34 +74,8 @@ class TestProvenance:
         assert base.config_hash() != PipelineConfig(seed=1).config_hash()
         assert base.config_hash() != PipelineConfig(eta=0.5).config_hash()
 
-    def test_hash_ignores_plumbing(self):
-        assert PipelineConfig().config_hash() == PipelineConfig(threads=8).config_hash()
-
     def test_provenance_dict(self):
         cfg = PipelineConfig(seed=3)
         prov = cfg.provenance("train")
         assert prov == {"stage": "train", "config": cfg.config_hash(), "seed": 3}
 
-
-class TestThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "7")
-        assert PipelineConfig(threads=3).resolve_threads() == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "7")
-        assert PipelineConfig(threads=0).resolve_threads() == 7
-
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-        assert PipelineConfig(threads=0).resolve_threads() == 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "lots")
-        with pytest.raises(ValueError):
-            PipelineConfig(threads=0).resolve_threads()
-
-    def test_nonpositive_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "0")
-        with pytest.raises(ValueError):
-            PipelineConfig(threads=0).resolve_threads()

@@ -1,9 +1,12 @@
 """Per-group feature fixtures with hand-computed expected values."""
 
+import re
+
 import numpy as np
 import pytest
 
 from jobrec.candidates import CandidateGenerator, CandidateList, SLOT_NAMES, save_candidates, load_candidates
+from jobrec.dataio import DataFormatError
 from jobrec.entities import DAY_SECONDS, WEEK_SECONDS
 from jobrec.features import (
     GEO_SENTINEL,
@@ -13,7 +16,6 @@ from jobrec.features import (
     ItemClusterIndex,
     build_matrix,
     build_schema,
-    schema_path,
 )
 from jobrec.split import temporal_split
 
@@ -66,14 +68,6 @@ class TestSchema:
         schema = build_schema()
         pos = [s.name for s in schema.specs if s.group == "candidate_position"]
         assert pos == [f"pos_{slot}" for slot in SLOT_NAMES]
-
-    def test_sidecar_round_trip(self, tmp_path):
-        schema = build_schema()
-        path = tmp_path / "m.tsv.schema"
-        schema.save(path)
-        from jobrec.features import FeatureSchema
-
-        assert FeatureSchema.load(path) == schema
 
 
 class TestEventMatch:
@@ -684,25 +678,45 @@ class TestBuildMatrix:
         assert matrix.labels[mask].tolist() == [1.0]
         assert matrix.labels.sum() == 1.0
 
-    def test_threads_identical(self):
-        ds = self.small_ds()
-        cands = CandidateGenerator(ds).generate_all(sorted(ds.users))
-        a = build_matrix(ds, cands, threads=1)
-        b = build_matrix(ds, cands, threads=4)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.user_ids, b.user_ids)
-
     def test_save_load_bit_exact(self, tmp_path):
         ds = self.small_ds()
         cands = CandidateGenerator(ds).generate_all(sorted(ds.users))
-        matrix = build_matrix(ds, cands, ground_truth={1: set(cands[1].items()[:2])})
-        path = tmp_path / "matrix.tsv"
-        matrix.save(path)
-        assert schema_path(path).exists()
-        back = FeatureMatrix.load(path)
-        assert np.array_equal(back.values, matrix.values)
-        assert np.array_equal(back.labels, matrix.labels)
-        assert back.schema == matrix.schema
+        for truth in ({1: set(cands[1].items()[:2])}, None):
+            matrix = build_matrix(ds, cands, ground_truth=truth)
+            # a non-.npz name is kept as given, with no sidecar next to it
+            directory = tmp_path / ("labeled" if truth else "unlabeled")
+            directory.mkdir()
+            path = directory / "matrix.tsv"
+            matrix.save(path, {"stage": "features"})
+            assert list(directory.iterdir()) == [path]
+            back = FeatureMatrix.load(path)
+            for name in ("user_ids", "item_ids", "values"):
+                got, want = getattr(back, name), getattr(matrix, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            if truth:
+                assert back.labels.tobytes() == matrix.labels.tobytes()
+            else:
+                assert back.labels is None
+            assert back.schema == matrix.schema
+            assert back.schema.specs[back.schema.index("prop_latitude")].sentinel == GEO_SENTINEL
+
+    @pytest.mark.parametrize("damage", ["legacy_tsv", "truncated", "missing_values"])
+    def test_malformed_matrix_file_rejected(self, tmp_path, damage):
+        ds = self.small_ds()
+        cands = CandidateGenerator(ds).generate_all(sorted(ds.users))
+        path = tmp_path / "matrix.npz"
+        build_matrix(ds, cands).save(path)
+        if damage == "legacy_tsv":
+            path.write_text("# stage=features\nuser_id\titem_id\tpop_int_total\n1\t101\t3.0\n")
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            with np.load(path) as archive:
+                kept = {k: archive[k] for k in archive.files if k != "values"}
+            with open(path, "wb") as fh:
+                np.savez(fh, **kept)
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            FeatureMatrix.load(path)
 
     def test_train_vs_full_recency_shift(self):
         # same (user, item) featurized on the training split and the full

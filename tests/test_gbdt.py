@@ -189,6 +189,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             model.predict_proba(np.zeros((2, 2)), feature_names=["b", "a"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_non_finite_rejected(self, bad):
+        model = train(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 0, 1, 1]),
+                      TrainConfig(num_round=1, min_child_weight=0.0))
+        X = np.zeros((2, 1))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            model.predict_proba(X)
+
 
 class TestPredict:
     def test_hand_traced_two_node_tree(self):

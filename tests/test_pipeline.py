@@ -178,6 +178,11 @@ class TestRankAndSelect:
         with pytest.raises(ValueError):
             rank_and_select(matrix, np.array([0.1, 0.2]))
 
+    def test_non_contiguous_user_rejected(self):
+        matrix = tiny_matrix([(1, 11), (2, 12), (1, 13)])
+        with pytest.raises(ValueError, match="user 1"):
+            rank_and_select(matrix, np.array([0.1, 0.2, 0.3]))
+
 
 class TestBlend:
     def fit_pair(self):
