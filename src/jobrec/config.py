@@ -58,7 +58,6 @@ class PipelineConfig:
             num_round=self.num_round,
             reg_lambda=self.reg_lambda,
             early_stopping_rounds=self.early_stopping_rounds,
-            seed=self.seed,
         )
 
     def config_hash(self) -> str:

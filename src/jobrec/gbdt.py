@@ -12,6 +12,15 @@ and a split is accepted only when the gain is strictly positive and both
 children keep a hessian sum of at least min_child_weight. Ties between
 equal-gain splits go to the lowest feature index, then the lowest
 threshold. Training is fully deterministic.
+
+Each column is argsorted once per train call (the presorted column order
+of exact greedy in XGBoost, Chen & Guestrin, KDD 2016). At a node, the
+node's rows are picked out of every column's order at once, and one
+prefix sum per (feature, row) array and one flat argmax over all
+features find the split. No float is summed in a different order than a
+per-node, per-feature sort would sum it, so the trees are the same bit
+for bit; a histogram search would not keep that, since summing per bin
+reorders the additions and flips near-exact ties between features.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 MODEL_FORMAT = "jobrec-gbdt"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 MARGIN_CLAMP = 10.0
 PROB_EPS = 1e-15
 
@@ -42,7 +51,6 @@ class TrainConfig:
     num_round: int = 1000
     reg_lambda: float = 1.0
     early_stopping_rounds: int | None = None
-    seed: int = 0
     # None: logit of the positive rate, clamped to +-MARGIN_CLAMP
     base_margin: float | None = None
 
@@ -140,46 +148,54 @@ class Tree:
         return tree
 
 
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's stable row order (F, n) and its sorted values (F, n)."""
+    S = np.argsort(X.T, axis=1, kind="stable")
+    return S, np.take_along_axis(X.T, S, axis=1)
+
+
 def _best_split(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray, cfg: TrainConfig
+    S: np.ndarray, XS: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray, cfg: TrainConfig
 ) -> tuple[float, int, float] | None:
-    """Exact greedy search over all features and distinct thresholds."""
+    """Exact greedy search over all features and distinct thresholds at once.
+
+    S holds each column's stable row order (F, n) and XS the matching
+    sorted values; idx holds the node's rows in ascending order. Keeping
+    the node's members of every column's global order gives exactly the
+    order a per-node stable argsort would, so the prefix sums, and with
+    them every gain, are the same bit for bit. The flat argmax returns
+    the first maximum: lowest feature, then lowest threshold.
+    """
     G = g[idx].sum()
     H = h[idx].sum()
     lam = cfg.reg_lambda
     parent = G * G / (H + lam)
-    best: tuple[float, int, float] | None = None
-    for f in range(X.shape[1]):
-        x = X[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        gs = np.cumsum(g[idx][order])[:-1]
-        hs = np.cumsum(h[idx][order])[:-1]
-        cut = xs[1:] != xs[:-1]
-        gl, hl = gs, hs
-        gr, hr = G - gs, H - hs
-        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
-        ok = cut & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight) & (gain > 0.0)
-        if not ok.any():
-            continue
-        pos = np.nonzero(ok)[0]
-        j = pos[np.argmax(gain[pos])]
-        cand = (float(gain[j]), f, float(xs[j]))
-        # strict comparison keeps the lowest feature index on equal gain;
-        # within a feature argmax already picks the lowest threshold
-        if best is None or cand[0] > best[0]:
-            best = cand
-    return best
+    F, m = S.shape[0], idx.shape[0]
+    member = np.zeros(S.shape[1], dtype=bool)
+    member[idx] = True
+    keep = member[S]
+    rows = S[keep].reshape(F, m)
+    xs = XS[keep].reshape(F, m)
+    gl = np.cumsum(g[rows], axis=1)[:, :-1]
+    hl = np.cumsum(h[rows], axis=1)[:, :-1]
+    gr, hr = G - gl, H - hl
+    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
+    cut = xs[:, 1:] != xs[:, :-1]
+    ok = cut & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight) & (gain > 0.0)
+    if not ok.any():
+        return None
+    f, j = np.unravel_index(np.argmax(np.where(ok, gain, -np.inf)), ok.shape)
+    return float(gain[f, j]), int(f), float(xs[f, j])
 
 
-def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig) -> Tree:
+def _grow(
+    X: np.ndarray, S: np.ndarray, XS: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig
+) -> Tree:
     tree = Tree()
 
     def build(idx: np.ndarray, depth: int) -> int:
         node = tree._new_node()
-        split = _best_split(X, g, h, idx, cfg) if depth < cfg.max_depth else None
+        split = _best_split(S, XS, g, h, idx, cfg) if depth < cfg.max_depth else None
         if split is None:
             tree.value[node] = -g[idx].sum() / (h[idx].sum() + cfg.reg_lambda)
             return node
@@ -269,6 +285,17 @@ class GbdtModel:
             raise ModelFormatError(f"{path}: malformed model document: {exc}") from None
 
 
+def _check_data(X: np.ndarray, y: np.ndarray, what: str) -> None:
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError(f"{what} matrix must be 2-d and non-empty")
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"{what} label count does not match row count")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{what} matrix contains NaN or infinite values")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError(f"{what} labels must be 0 or 1")
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -280,14 +307,7 @@ def train(
     config.validate()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training matrix must be 2-d and non-empty")
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("label count does not match row count")
-    if not np.isfinite(X).all():
-        raise ValueError("training matrix contains NaN or infinite values")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be 0 or 1")
+    _check_data(X, y, "training")
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(X.shape[1])]
     if len(feature_names) != X.shape[1]:
@@ -309,17 +329,19 @@ def train(
     if valid is not None:
         Xv = np.asarray(valid[0], dtype=np.float64)
         yv = np.asarray(valid[1], dtype=np.float64)
+        _check_data(Xv, yv, "validation")
         if Xv.shape[1] != X.shape[1]:
             raise ValueError("validation matrix width does not match training matrix")
         vmargin = np.full(Xv.shape[0], base, dtype=np.float64)
         history["valid"] = []
 
+    S, XS = _presort(X)
     trees: list[Tree] = []
     best_round: int | None = None
     best_loss = np.inf
     for _ in range(config.num_round):
         g, h = grad_hess(margin, y)
-        tree = _grow(X, g, h, config)
+        tree = _grow(X, S, XS, g, h, config)
         trees.append(tree)
         margin += config.eta * tree.predict(X)
         history["train"].append(logloss(margin, y))

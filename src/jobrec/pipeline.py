@@ -117,6 +117,8 @@ def rank_and_select(
         raise ValueError("probability vector length does not match matrix rows")
     out: list[Prediction] = []
     users = matrix.user_ids
+    if len(users) == 0:
+        return out
     boundaries = np.nonzero(np.diff(users))[0] + 1
     starts = [0, *boundaries.tolist(), len(users)]
     seen: set[int] = set()

@@ -5,6 +5,8 @@ with no code shared with the package beyond the entity data model. Tests
 compare library output against these, so any agreement is meaningful.
 """
 
+import numpy as np
+
 from jobrec.entities import POSITIVE_KINDS, WEEK_SECONDS
 
 
@@ -186,3 +188,94 @@ def merged_oracle(dataset, user_id, cap, neighbor_count):
         for rank, item in enumerate(ranking, start=1):
             merged.setdefault(item, {})[slot] = rank
     return merged
+
+
+# ---------------------------------------------------------------- gbdt
+
+
+def best_split_oracle(X, g, h, idx, cfg):
+    """Exact greedy search over all features and distinct thresholds."""
+    G = g[idx].sum()
+    H = h[idx].sum()
+    lam = cfg.reg_lambda
+    parent = G * G / (H + lam)
+    best = None
+    for f in range(X.shape[1]):
+        x = X[idx, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        if xs[0] == xs[-1]:
+            continue
+        gs = np.cumsum(g[idx][order])[:-1]
+        hs = np.cumsum(h[idx][order])[:-1]
+        cut = xs[1:] != xs[:-1]
+        gl, hl = gs, hs
+        gr, hr = G - gs, H - hs
+        gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
+        ok = cut & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight) & (gain > 0.0)
+        if not ok.any():
+            continue
+        pos = np.nonzero(ok)[0]
+        j = pos[np.argmax(gain[pos])]
+        cand = (float(gain[j]), f, float(xs[j]))
+        # strict comparison keeps the lowest feature index on equal gain;
+        # within a feature argmax already picks the lowest threshold
+        if best is None or cand[0] > best[0]:
+            best = cand
+    return best
+
+
+def grow_oracle(X, g, h, cfg):
+    """One tree from best_split_oracle, as the dict Tree.to_dict writes:
+    nodes numbered in pre-order, left subtree first."""
+    tree = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+
+    def build(idx, depth):
+        node = len(tree["feature"])
+        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1), ("value", 0.0)):
+            tree[key].append(blank)
+        split = best_split_oracle(X, g, h, idx, cfg) if depth < cfg.max_depth else None
+        if split is None:
+            tree["value"][node] = -g[idx].sum() / (h[idx].sum() + cfg.reg_lambda)
+            return node
+        _, f, thr = split
+        tree["feature"][node] = f
+        tree["threshold"][node] = thr
+        left = X[idx, f] <= thr
+        tree["left"][node] = build(idx[left], depth + 1)
+        tree["right"][node] = build(idx[~left], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return tree
+
+
+def tree_predict_oracle(tree, X):
+    out = np.empty(X.shape[0])
+    for r in range(X.shape[0]):
+        node = 0
+        while tree["feature"][node] >= 0:
+            go_left = X[r, tree["feature"][node]] <= tree["threshold"][node]
+            node = tree["left"][node] if go_left else tree["right"][node]
+        out[r] = tree["value"][node]
+    return out
+
+
+def boost_oracle(X, y, cfg):
+    """The trees of a logloss boosting run without validation data, each
+    grown by grow_oracle."""
+    rate = float(y.mean())
+    if cfg.base_margin is not None:
+        base = float(cfg.base_margin)
+    elif rate in (0.0, 1.0):
+        base = 10.0 if rate else -10.0
+    else:
+        base = float(np.clip(np.log(rate / (1.0 - rate)), -10.0, 10.0))
+    margin = np.full(X.shape[0], base)
+    trees = []
+    for _ in range(cfg.num_round):
+        p = 1.0 / (1.0 + np.exp(-margin))
+        tree = grow_oracle(X, p - y, p * (1.0 - p), cfg)
+        trees.append(tree)
+        margin += cfg.eta * tree_predict_oracle(tree, X)
+    return trees

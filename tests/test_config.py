@@ -18,7 +18,6 @@ class TestDefaults:
         tc = cfg.train_config()
         assert tc.eta == 0.3
         assert tc.num_round == 7
-        assert tc.seed == 5
 
 
 class TestConfigFile:

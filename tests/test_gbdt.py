@@ -2,7 +2,8 @@
 
 The gradient/hessian oracle uses high-precision central differences via
 mpmath so the 1e-6 relative tolerance is limited by the formula under
-test, not by the difference scheme.
+test, not by the difference scheme. The split search is compared bit
+for bit with the per-feature search in tests/oracles.py.
 """
 
 import json
@@ -16,12 +17,16 @@ from jobrec.gbdt import (
     ModelFormatError,
     TrainConfig,
     Tree,
+    _best_split,
+    _presort,
     grad_hess,
     logloss,
     save_importance,
     sigmoid,
     train,
 )
+
+from oracles import best_split_oracle, boost_oracle
 
 
 def fd_grad_hess(margin, y, dps=50, h_step="1e-12"):
@@ -146,6 +151,63 @@ class TestTrainingBehavior:
         assert tree.threshold[0] == 2.0
 
 
+def split_fixture(rng, n):
+    """Columns with many repeats, a constant, a continuous one and a pair
+    with the same partition (x2 = 2*x0 - 1), in a random column order."""
+    x0 = rng.integers(0, 4, n).astype(float)
+    cols = [x0, np.full(n, 3.0), rng.normal(size=n), rng.integers(-2, 3, n).astype(float), 2 * x0 - 1]
+    return np.column_stack(cols)[:, rng.permutation(len(cols))]
+
+
+class TestSplitSearchMatchesOracle:
+    @pytest.mark.parametrize("min_child_weight", [0.0, 0.5, 2.0])
+    def test_node_by_node_bit_equal(self, min_child_weight):
+        found = 0
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 60))
+            X = split_fixture(rng, n)
+            if seed % 2:
+                # integer gradients and one hessian: many exactly equal gains
+                g = rng.integers(-1, 2, n).astype(float)
+                h = np.full(n, 0.25)
+            else:
+                g, h = grad_hess(rng.normal(size=n), rng.integers(0, 2, n).astype(float))
+            m = 2 if seed % 5 == 0 else int(rng.integers(2, n + 1))
+            idx = np.sort(rng.choice(n, m, replace=False))
+            cfg = TrainConfig(min_child_weight=min_child_weight, gamma=(0.0, 0.5)[seed % 3 == 0],
+                              reg_lambda=(1.0, 0.0)[seed % 4 == 0])
+            S, XS = _presort(X)
+            got = _best_split(S, XS, g, h, idx, cfg)
+            want = best_split_oracle(X, g, h, idx, cfg)
+            assert got == want, f"seed {seed}"
+            found += got is not None
+        assert found >= 50
+
+    def test_same_partition_tie_goes_to_lowest_feature(self):
+        x = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+        X = np.column_stack([2 * x - 1, x])
+        g = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+        h = np.full(6, 0.25)
+        cfg = TrainConfig(min_child_weight=0.0, gamma=0.0)
+        S, XS = _presort(X)
+        gain, f, thr = _best_split(S, XS, g, h, np.arange(6), cfg)
+        assert (gain, f, thr) == best_split_oracle(X, g, h, np.arange(6), cfg)
+        assert f == 0 and thr == -1.0  # x <= 0, written in column 0's values
+
+    def test_train_bit_equal_to_oracle_grower(self):
+        for seed in range(60):
+            rng = np.random.default_rng(1000 + seed)
+            n = int(rng.integers(2, 80))
+            X = split_fixture(rng, n)
+            y = (X[:, 2] + rng.normal(size=n) > 0).astype(float)
+            cfg = TrainConfig(num_round=4, max_depth=int(rng.integers(1, 6)),
+                              min_child_weight=(0.0, 0.5, 2.0)[seed % 3],
+                              gamma=(0.0, 0.5)[seed % 2])
+            got = [t.to_dict() for t in train(X, y, cfg).trees]
+            assert got == boost_oracle(X, y, cfg), f"seed {seed}"
+
+
 class TestValidation:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -160,6 +222,27 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((3, 1)), np.zeros(4), TrainConfig(num_round=1))
+
+    @pytest.mark.parametrize("case", ["nan", "label", "empty", "count"])
+    def test_bad_validation_pair_rejected(self, case):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 0, 1, 1])
+        Xv, yv = X.copy(), y.copy()
+        if case == "nan":
+            Xv[1, 0] = np.nan
+            match = "validation matrix contains NaN or infinite values"
+        elif case == "label":
+            yv[2] = 2.0
+            match = "validation labels must be 0 or 1"
+        elif case == "empty":
+            Xv, yv = np.zeros((0, 1)), np.zeros(0)
+            match = "validation matrix must be 2-d and non-empty"
+        else:
+            yv = yv[:3]
+            match = "validation label count does not match row count"
+        cfg = TrainConfig(num_round=5, early_stopping_rounds=3, min_child_weight=0.0)
+        with pytest.raises(ValueError, match=match):
+            train(X, y, cfg, valid=(Xv, yv))
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
@@ -294,6 +377,17 @@ class TestSerialization:
         doc["version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
+            GbdtModel.load(path)
+
+    def test_version_1_model_rejected(self, tmp_path):
+        model, _ = self.make_model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        doc["config"]["seed"] = 0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="unsupported model version 1"):
             GbdtModel.load(path)
 
     def test_missing_field_rejected(self, tmp_path):

@@ -16,6 +16,7 @@ from jobrec.pipeline import (
     load_predictions,
     rank_and_select,
     save_predictions,
+    score_and_select,
     stable_hash,
 )
 
@@ -182,6 +183,18 @@ class TestRankAndSelect:
         matrix = tiny_matrix([(1, 11), (2, 12), (1, 13)])
         with pytest.raises(ValueError, match="user 1"):
             rank_and_select(matrix, np.array([0.1, 0.2, 0.3]))
+
+    def test_zero_row_matrix_selects_nothing(self):
+        rng = np.random.default_rng(1)
+        names = build_schema().names
+        X = rng.normal(size=(20, len(names)))
+        y = (X[:, 0] > 0).astype(float)
+        model = train(X, y, TrainConfig(num_round=2, min_child_weight=0.1, gamma=0.0),
+                      feature_names=names)
+        assert model.trees[0].feature[0] >= 0
+        empty = tiny_matrix([])
+        assert score_and_select(model, empty) == []
+        assert blend([model, model], empty) == []
 
 
 class TestBlend:
