@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .candidates import SLOT_NAMES, CandidateList
 from .dataio import DataFormatError
@@ -34,7 +33,7 @@ from .entities import (
     POSITIVE_KINDS,
     WEEK_SECONDS,
 )
-from .similarity import set_csr, shared_token_vocab, token_csr
+from .similarity import indicator_matrix, shared_token_vocab
 
 SENTINEL = -1.0
 GEO_SENTINEL = -999.0
@@ -246,8 +245,23 @@ class FeatureMatrix:
             raise DataFormatError(f"{path}: {exc}") from None
 
 
+def _attr_array(entities: list) -> np.ndarray:
+    """(n, 5) int64 array of the `_ATTRS` values, one row per user or item."""
+    return np.array(
+        [[getattr(e, a) for a in _ATTRS] for e in entities], dtype=np.int64
+    ).reshape(len(entities), len(_ATTRS))
+
+
 class FeatureExtractor:
     """Computes feature blocks per user over one dataset variant.
+
+    `__init__` turns the variant into arrays with one row per item in
+    sorted id order: attributes, a block of popularity and property
+    columns, coordinates (NaN without geo), and 0/1 item x token and
+    item x user indicators. `block` gathers the candidates' rows and
+    combines them with the user's through matrix products and broadcasts.
+    Indicators are stored as uint8 and cast to float64 per block, so every
+    product sums small integers exactly.
 
     Assumes referential integrity: every event references a user and item
     present in the entity tables (the loader enforces this; the synthesizer
@@ -269,121 +283,80 @@ class FeatureExtractor:
         self.now = self.events.max_timestamp
         self.now_week = self.events.max_impression_week
 
-        items = dataset.items
-        self._item_ids = np.array(sorted(items), dtype=np.int64)
-        self._row_of = {int(i): r for r, i in enumerate(self._item_ids)}
-        self._vocab = shared_token_vocab(items, (int(i) for i in self._item_ids))
-        self._tags = token_csr(items, self._item_ids, "tags", self._vocab)
-        self._title = token_csr(items, self._item_ids, "title", self._vocab)
+        ids = sorted(dataset.items)
+        self._row_of = {i: r for r, i in enumerate(ids)}
+        items = [dataset.items[i] for i in ids]
+        self._vocab = shared_token_vocab(dataset.items, ids)
+        self._tags = indicator_matrix([it.tags for it in items], self._vocab)
+        self._title = indicator_matrix([it.title for it in items], self._vocab)
+        self._attrs = _attr_array(items)
+        self._lat = np.array([np.nan if it.latitude is None else it.latitude for it in items])
+        self._lon = np.array([np.nan if it.longitude is None else it.longitude for it in items])
+        item_columns = {**self._popularity(), **self._properties(items)}
+        self._item_cols = [self.schema.index(name) for name in item_columns]
+        self._item_block = np.column_stack(list(item_columns.values()))
 
-        self._user_ids = np.array(sorted(dataset.users), dtype=np.int64)
-        self._user_row = {int(u): r for r, u in enumerate(self._user_ids)}
-        self._build_popularity()
-        self._build_item_user_matrices()
-        self._build_jobroles()
-
-        self._item_attr_counts: dict[int, tuple[int, dict[str, dict[int, int]]]] = {}
+        self._user_row = {u: r for r, u in enumerate(sorted(dataset.users))}
+        users = [dataset.users[u] for u in self._user_row]
+        self._user_attrs = _attr_array(users)
+        roles = sorted({t for u in users for t in u.jobroles})
+        self._jr_vocab = {t: c for c, t in enumerate(roles)}
+        self._jobroles = indicator_matrix([u.jobroles for u in users], self._jr_vocab)
+        self._item_users = {
+            "int": indicator_matrix([self.events.int_users(i) for i in ids], self._user_row),
+            "imp": indicator_matrix([self.events.imp_users(i) for i in ids], self._user_row),
+        }
+        self._item_deg = {src: m.sum(axis=1, dtype=np.int64) for src, m in self._item_users.items()}
+        self._user_deg = {src: m.sum(axis=0, dtype=np.int64) for src, m in self._item_users.items()}
 
     # -------------------------------------------------------- precomputation
 
-    def _build_popularity(self) -> None:
-        n = len(self._item_ids)
-        self._pop = {
-            "int_total": np.zeros(n),
-            "click": np.zeros(n),
-            "bookmark": np.zeros(n),
-            "reply": np.zeros(n),
-            "delete": np.zeros(n),
-            "imp_total": np.zeros(n),
-        }
-        kind_col = {
-            InteractionKind.CLICK: "click",
-            InteractionKind.BOOKMARK: "bookmark",
-            InteractionKind.REPLY: "reply",
-            InteractionKind.DELETE: "delete",
-        }
-        now_day = self.now // DAY_SECONDS
-        # the 14 calendar days feeding the weekday trends: for each of the 7
-        # day-of-week buckets, the latest such day and the one a week before
-        self._trend_days: dict[int, tuple[int, int]] = {}
-        wanted_days: set[int] = set()
-        for bucket in range(7):
-            d1 = now_day - ((now_day - bucket) % 7)
-            self._trend_days[bucket] = (d1, d1 - 7)
-            wanted_days.update((d1, d1 - 7))
-        day_counts: dict[tuple[int, int], int] = {}
+    def _popularity(self) -> dict[str, np.ndarray]:
+        """Per-item event counts and +1-smoothed trend ratios, by column name."""
+        n = len(self._row_of)
+        ints = self.events.interactions
+        events = [(self._row_of[e.item_id], e.kind, e.timestamp) for e in ints]
+        rows, kinds, ts = np.array(events, dtype=np.int64).reshape(len(ints), 3).T
+        positive = np.isin(kinds, list(POSITIVE_KINDS))
+
+        def count(mask: np.ndarray) -> np.ndarray:
+            return np.bincount(rows[mask], minlength=n).astype(np.float64)
+
+        pop = {"pop_int_total": count(positive)}
+        for kind in InteractionKind:
+            pop[f"pop_{kind.name.lower()}"] = count(kinds == kind)
+        imp_rows = [self._row_of[im.item_id] for im in self.events.impressions]
+        pop["pop_imp_total"] = np.bincount(
+            np.array(imp_rows, dtype=np.int64), minlength=n
+        ).astype(np.float64)
         week_lo = self.now - 7 * DAY_SECONDS
-        week_lo2 = self.now - 14 * DAY_SECONDS
-        last_week = np.zeros(n)
-        prev_week = np.zeros(n)
-        for ev in self.events.interactions:
-            row = self._row_of[ev.item_id]
-            self._pop[kind_col[ev.kind]][row] += 1
-            if ev.kind in POSITIVE_KINDS:
-                self._pop["int_total"][row] += 1
-                day = ev.timestamp // DAY_SECONDS
-                if day in wanted_days:
-                    day_counts[(row, day)] = day_counts.get((row, day), 0) + 1
-                if week_lo < ev.timestamp <= self.now:
-                    last_week[row] += 1
-                elif week_lo2 < ev.timestamp <= week_lo:
-                    prev_week[row] += 1
-        for im in self.events.impressions:
-            self._pop["imp_total"][self._row_of[im.item_id]] += 1
-        self._pop["trend_week"] = (last_week + 1.0) / (prev_week + 1.0)
+        last_week = count(positive & (ts > week_lo))
+        prev_week = count(positive & (ts > week_lo - 7 * DAY_SECONDS) & (ts <= week_lo))
+        pop["pop_trend_week"] = (last_week + 1.0) / (prev_week + 1.0)
+        day = ts // DAY_SECONDS
+        now_day = self.now // DAY_SECONDS
         for bucket in range(7):
-            d1, d0 = self._trend_days[bucket]
-            c1 = np.zeros(n)
-            c0 = np.zeros(n)
-            for (row, day), c in day_counts.items():
-                if day == d1:
-                    c1[row] += c
-                elif day == d0:
-                    c0[row] += c
-            self._pop[f"trend_day{bucket}"] = (c1 + 1.0) / (c0 + 1.0)
+            # the latest calendar day in this day-of-week bucket against the
+            # same weekday one week earlier
+            d1 = now_day - ((now_day - bucket) % 7)
+            c1 = count(positive & (day == d1))
+            c0 = count(positive & (day == d1 - 7))
+            pop[f"pop_trend_day{bucket}"] = (c1 + 1.0) / (c0 + 1.0)
+        return pop
 
-    def _build_item_user_matrices(self) -> None:
-        """item x user binary matrices for interactions and impressions."""
-        universe = self._user_row
-        int_sets = [self.events.int_users(int(i)) for i in self._item_ids]
-        imp_sets = [self.events.imp_users(int(i)) for i in self._item_ids]
-        self._item_int_users = set_csr(int_sets, universe)
-        self._item_imp_users = set_csr(imp_sets, universe)
-        self._item_int_deg = np.asarray(self._item_int_users.sum(axis=1)).ravel()
-        self._item_imp_deg = np.asarray(self._item_imp_users.sum(axis=1)).ravel()
-        self._item_user_rows = {
-            int(i): np.array(sorted(self._user_row[u] for u in int_sets[r]), dtype=np.int64)
-            for r, i in enumerate(self._item_ids)
-            if int_sets[r]
+    def _properties(self, items: list) -> dict[str, np.ndarray]:
+        """Raw item properties with their sentinels, by column name."""
+        props = {
+            "prop_created_at": [
+                SENTINEL if it.created_at is None else float(it.created_at) for it in items
+            ],
+            "prop_latitude": np.where(np.isnan(self._lat), GEO_SENTINEL, self._lat),
+            "prop_longitude": np.where(np.isnan(self._lon), GEO_SENTINEL, self._lon),
         }
-
-    def _build_jobroles(self) -> None:
-        jr_vocab: dict[int, int] = {}
-        for u in self._user_ids:
-            for tok in sorted(self.dataset.users[int(u)].jobroles):
-                if tok not in jr_vocab:
-                    jr_vocab[tok] = len(jr_vocab)
-        self._jr_vocab = jr_vocab
-        self._jr_csr = set_csr(
-            [self.dataset.users[int(u)].jobroles for u in self._user_ids], jr_vocab
-        )
-
-    def _item_attr_counter(self, item_id: int) -> tuple[int, dict[str, dict[int, int]]]:
-        got = self._item_attr_counts.get(item_id)
-        if got is not None:
-            return got
-        users = self.events.int_users(item_id)
-        counters: dict[str, dict[int, int]] = {a: {} for a in _ATTRS}
-        for u in users:
-            user = self.dataset.users.get(u)
-            if user is None:
-                continue
-            for a in _ATTRS:
-                v = getattr(user, a)
-                counters[a][v] = counters[a].get(v, 0) + 1
-        entry = (len(users), counters)
-        self._item_attr_counts[item_id] = entry
-        return entry
+        for k, a in enumerate(_ATTRS):
+            props[f"prop_{a}"] = self._attrs[:, k]
+        props["prop_employment"] = [it.employment for it in items]
+        return {name: np.asarray(v, dtype=np.float64) for name, v in props.items()}
 
     # -------------------------------------------------------- per-user state
 
@@ -418,58 +391,16 @@ class FeatureExtractor:
                 out[e.item_id] = out.get(e.item_id, 0) + 1
             return out
 
-        user = self.dataset.users.get(user_id)
-        jroles = user.jobroles if user is not None else frozenset()
-        if jroles and user_id in self._user_row:
-            qcols = [self._jr_vocab[t] for t in jroles]
-            qvec = sparse.csr_matrix(
-                (np.ones(len(qcols), dtype=np.int32), ([0] * len(qcols), qcols)),
-                shape=(1, self._jr_csr.shape[1]),
-            )
-            share_mask = np.asarray((self._jr_csr @ qvec.T).todense()).ravel() > 0
-        else:
-            share_mask = np.zeros(len(self._user_ids), dtype=bool)
-
         int_items = sorted(self.events.int_items(user_id))
         imp_items = sorted(self.events.imp_items(user_id))
         week_lo = self.now - 7 * DAY_SECONDS
         imp_week_events = [im for im in imps if im.week == self.now_week]
-
-        # similarity of this user's positive item set against all users that
-        # share at least one item, via the item -> users postings
-        sims: dict[int, float] = {}
-        mine = self.events.int_items(user_id)
-        if mine:
-            counts: dict[int, int] = {}
-            for i in mine:
-                for v in self.events.int_users(i):
-                    counts[v] = counts.get(v, 0) + 1
-            for v, c in counts.items():
-                if v != user_id:
-                    sims[v] = c / (len(mine) + len(self.events.int_items(v)) - c)
-        sims_imp: dict[int, float] = {}
-        mine_imp = self.events.imp_items(user_id)
-        if mine_imp:
-            counts = {}
-            for i in mine_imp:
-                for v in self.events.imp_users(i):
-                    counts[v] = counts.get(v, 0) + 1
-            for v, c in counts.items():
-                if v != user_id:
-                    sims_imp[v] = c / (len(mine_imp) + len(self.events.imp_items(v)) - c)
-
-        geo = [
-            (self.dataset.items[i].latitude, self.dataset.items[i].longitude)
-            for i in int_items
-            if i in self.dataset.items and self.dataset.items[i].latitude is not None
-        ]
 
         cluster_hits: set[int] = set()
         for i in int_items:
             cluster_hits |= self.cluster.neighbors(i)
 
         return {
-            "positive": positive,
             "last_ts": last_ts,
             "last_any": last_any,
             "last_imp_week": last_imp_week,
@@ -477,9 +408,10 @@ class FeatureExtractor:
             "kind_counts": kind_counts,
             "uir_user": window_counts(last_any),
             "uir_data": window_counts(self.now),
-            "share_mask": share_mask,
-            "int_items": int_items,
-            "imp_items": imp_items,
+            "rows": {
+                "int": np.array([self._row_of[i] for i in int_items], dtype=np.int64),
+                "imp": np.array([self._row_of[i] for i in imp_items], dtype=np.int64),
+            },
             "act": {
                 "int_events": float(len(positive)),
                 "int_unique": float(len(int_items)),
@@ -492,43 +424,48 @@ class FeatureExtractor:
                 "imp_events_week": float(len(imp_week_events)),
                 "imp_unique_week": float(len({im.item_id for im in imp_week_events})),
             },
-            "sims_int": sims,
-            "sims_imp": sims_imp,
-            "geo": np.array(geo, dtype=np.float64) if geo else None,
             "cluster_hits": cluster_hits,
-            "user": user,
+            "user": self.dataset.users.get(user_id),
         }
 
     # ---------------------------------------------------------- block pieces
 
-    def _overlap_block(self, cand_rows: np.ndarray, src_rows: list[int], cand_field, src_field) -> np.ndarray:
-        """Dense |tokens(cand) & tokens(src)| counts, candidates x sources."""
-        sub = cand_field[cand_rows] @ src_field[src_rows].T
-        return np.asarray(sub.todense())
+    def _cf_columns(self, src: str, rows: np.ndarray, src_rows: np.ndarray, user_id: int):
+        """cf_item and cf_user for one source, as two (n,) columns.
 
-    def _cf_item_block(
-        self, cand_rows: np.ndarray, cand_ids: list[int], src_items: list[int], kind: str
-    ) -> np.ndarray:
-        mat = self._item_int_users if kind == "int" else self._item_imp_users
-        deg = self._item_int_deg if kind == "int" else self._item_imp_deg
-        out = np.full(len(cand_rows), SENTINEL)
-        if not src_items:
-            return out
-        src_rows = [self._row_of[i] for i in src_items]
-        inter = np.asarray((mat[cand_rows] @ mat[src_rows].T).todense(), dtype=np.float64)
-        deg_c = deg[cand_rows][:, None]
-        deg_s = deg[src_rows][None, :]
-        union = deg_c + deg_s - inter
-        with np.errstate(invalid="ignore", divide="ignore"):
-            jac = np.where(union > 0, inter / union, 0.0)
-        # self-pairs are excluded from the max
-        src_arr = np.array(src_items, dtype=np.int64)
-        cand_arr = np.array(cand_ids, dtype=np.int64)
-        self_mask = cand_arr[:, None] == src_arr[None, :]
-        jac = np.where(self_mask, -np.inf, jac)
-        valid = len(src_items) - self_mask.sum(axis=1)
-        best = jac.max(axis=1)
-        return np.where(valid > 0, best, SENTINEL)
+        cf_item: max Jaccard over users between the candidate and each of
+        the user's items, self-pairs excluded. cf_user: max Jaccard over
+        items between the user and each other user of the candidate.
+        """
+        mat = self._item_users[src]
+        deg = self._item_deg[src]
+        # users sharing an item with this user; every other user scores 0
+        shared = mat[src_rows].sum(axis=0, dtype=np.int64)
+        near = np.flatnonzero(shared)
+        cand_near = mat[np.ix_(rows, near)].astype(np.float64)
+
+        if len(src_rows):
+            inter = cand_near @ mat[np.ix_(src_rows, near)].astype(np.float64).T
+            union = deg[rows][:, None] + deg[src_rows][None, :] - inter
+            with np.errstate(invalid="ignore", divide="ignore"):
+                jac = np.where(union > 0, inter / union, 0.0)
+            self_mask = rows[:, None] == src_rows[None, :]
+            jac = np.where(self_mask, -np.inf, jac)
+            valid = len(src_rows) - self_mask.sum(axis=1)
+            cf_item = np.where(valid > 0, jac.max(axis=1), SENTINEL)
+        else:
+            cf_item = np.full(len(rows), SENTINEL)
+
+        c = shared[near]
+        sims = c / (len(src_rows) + self._user_deg[src][near] - c)
+        others = deg[rows]
+        me = self._user_row.get(user_id)
+        if me is not None:
+            others = others - mat[rows, me]
+            sims[near == me] = 0.0
+        # sims >= 0, so the zeros of non-members never exceed the members' max
+        cf_user = np.where(others > 0, (cand_near * sims).max(axis=1, initial=0.0), SENTINEL)
+        return cf_item, cf_user
 
     # ------------------------------------------------------------ main block
 
@@ -547,78 +484,50 @@ class FeatureExtractor:
         user = state["user"]
         col = schema.index
 
-        cand_rows = np.array([self._row_of[i] for i in items], dtype=np.int64)
         cand_ids = [int(i) for i in items]
+        rows = np.array([self._row_of[i] for i in cand_ids], dtype=np.int64)
+        attrs = self._attrs[rows]
+        tags = self._tags[rows].astype(np.float64)
+        title = self._title[rows].astype(np.float64)
+        u_attrs = np.array([getattr(user, a) if user else 0 for a in _ATTRS], dtype=np.int64)
+        jroles = user.jobroles if user else frozenset()
 
         # ---- event_match + common_tokens (token side, both sources)
-        for src, src_items in (("int", state["int_items"]), ("imp", state["imp_items"])):
-            if not src_items:
-                for a in _ATTRS:
-                    out[:, col(f"match_{src}_{a}")] = SENTINEL
-                out[:, col(f"match_{src}_tags")] = SENTINEL
-                out[:, col(f"match_{src}_title")] = SENTINEL
-                out[:, col(f"common_tags_{src}")] = SENTINEL
-                out[:, col(f"common_title_{src}")] = SENTINEL
+        for src in ("int", "imp"):
+            src_rows = state["rows"][src]
+            attr_cols = [col(f"match_{src}_{a}") for a in _ATTRS]
+            token_cols = [col(f"match_{src}_tags"), col(f"match_{src}_title")]
+            common_cols = [col(f"common_tags_{src}"), col(f"common_title_{src}")]
+            if not len(src_rows):
+                out[:, attr_cols + token_cols + common_cols] = SENTINEL
                 continue
-            src_rows = [self._row_of[i] for i in src_items]
-            for a in _ATTRS:
-                svals = np.array(
-                    [getattr(self.dataset.items[i], a) for i in src_items], dtype=np.int64
-                )
-                cvals = np.array(
-                    [getattr(self.dataset.items[i], a) for i in cand_ids], dtype=np.int64
-                )
-                out[:, col(f"match_{src}_{a}")] = (cvals[:, None] == svals[None, :]).mean(axis=1)
-            tags_ov = self._overlap_block(cand_rows, src_rows, self._tags, self._tags)
-            title_ov = self._overlap_block(cand_rows, src_rows, self._title, self._title)
-            out[:, col(f"match_{src}_tags")] = (tags_ov > 0).mean(axis=1)
-            out[:, col(f"match_{src}_title")] = (title_ov > 0).mean(axis=1)
-            out[:, col(f"common_tags_{src}")] = tags_ov.max(axis=1)
-            out[:, col(f"common_title_{src}")] = title_ov.max(axis=1)
+            out[:, attr_cols] = (attrs[:, None, :] == self._attrs[src_rows]).mean(axis=1)
+            for k, (field, cand) in enumerate(((self._tags, tags), (self._title, title))):
+                overlap = cand @ field[src_rows].astype(np.float64).T
+                out[:, token_cols[k]] = (overlap > 0).mean(axis=1)
+                out[:, common_cols[k]] = overlap.max(axis=1)
 
-        # ---- event_match, user side
-        u_attrs = {a: (getattr(user, a) if user else 0) for a in _ATTRS}
-        share_mask = state["share_mask"]
-        for r, i in enumerate(cand_ids):
-            n_users, counters = self._item_attr_counter(i)
-            if n_users == 0:
-                for a in _ATTRS:
-                    out[r, col(f"match_users_{a}")] = SENTINEL
-                out[r, col("match_users_jobroles")] = SENTINEL
-                continue
-            for a in _ATTRS:
-                out[r, col(f"match_users_{a}")] = counters[a].get(u_attrs[a], 0) / n_users
-            rows = self._item_user_rows.get(i)
-            out[r, col("match_users_jobroles")] = (
-                float(share_mask[rows].mean()) if rows is not None else SENTINEL
-            )
+        # ---- event_match, user side: shares of the candidate's users with
+        # the user's attribute values, and sharing one of the user's job roles
+        shares_role = self._jobroles[:, [self._jr_vocab[t] for t in jroles]].any(axis=1)
+        alike = np.column_stack([self._user_attrs == u_attrs, shares_role]).astype(np.float64)
+        deg = self._item_deg["int"][rows][:, None]
+        user_cols = [col(f"match_users_{a}") for a in _ATTRS] + [col("match_users_jobroles")]
+        out[:, user_cols] = np.divide(
+            self._item_users["int"][rows].astype(np.float64) @ alike,
+            deg,
+            out=np.full((n, len(user_cols)), SENTINEL),
+            where=deg > 0,
+        )
 
-        # ---- popularity (item-level lookups)
-        out[:, col("pop_int_total")] = self._pop["int_total"][cand_rows]
-        for kind in ("click", "bookmark", "reply", "delete"):
-            out[:, col(f"pop_{kind}")] = self._pop[kind][cand_rows]
-        out[:, col("pop_imp_total")] = self._pop["imp_total"][cand_rows]
-        out[:, col("pop_trend_week")] = self._pop["trend_week"][cand_rows]
-        for d in range(7):
-            out[:, col(f"pop_trend_day{d}")] = self._pop[f"trend_day{d}"][cand_rows]
+        # ---- popularity and item properties
+        out[:, self._item_cols] = self._item_block[rows]
 
         # ---- cf similarity
-        out[:, col("cf_item_int")] = self._cf_item_block(
-            cand_rows, cand_ids, state["int_items"], "int"
-        )
-        out[:, col("cf_item_imp")] = self._cf_item_block(
-            cand_rows, cand_ids, state["imp_items"], "imp"
-        )
-        for r, i in enumerate(cand_ids):
-            for kind in ("int", "imp"):
-                users = (
-                    self.events.int_users(i) if kind == "int" else self.events.imp_users(i)
-                )
-                others = [v for v in users if v != user_id]
-                sims = state["sims_int"] if kind == "int" else state["sims_imp"]
-                out[r, col(f"cf_user_{kind}")] = (
-                    max(sims.get(v, 0.0) for v in others) if others else SENTINEL
-                )
+        for src in ("int", "imp"):
+            cf_item, cf_user = self._cf_columns(src, rows, state["rows"][src], user_id)
+            out[:, col(f"cf_item_{src}")] = cf_item
+            out[:, col(f"cf_user_{src}")] = cf_user
 
         # ---- user activity
         for name, value in state["act"].items():
@@ -638,76 +547,51 @@ class FeatureExtractor:
         out[:, col("rec_user_weeks")] = (
             float(self.now_week - last_any_imp) if last_any_imp is not None else SENTINEL
         )
-        for r, i in enumerate(cand_ids):
-            ts = state["last_ts"].get(i)
-            out[r, col("rec_item_seconds")] = float(self.now - ts) if ts is not None else SENTINEL
-            out[r, col("rec_item_vs_last_seconds")] = (
-                float(last_any - ts) if ts is not None and last_any is not None else SENTINEL
-            )
-            wk = state["last_imp_week"].get(i)
-            out[r, col("rec_item_weeks")] = (
-                float(self.now_week - wk) if wk is not None else SENTINEL
-            )
-            out[r, col("rec_item_vs_last_weeks")] = (
-                float(last_any_imp - wk)
-                if wk is not None and last_any_imp is not None
-                else SENTINEL
-            )
+        item_ts = [state["last_ts"].get(i) for i in cand_ids]
+        out[:, col("rec_item_seconds")] = [
+            float(self.now - ts) if ts is not None else SENTINEL for ts in item_ts
+        ]
+        out[:, col("rec_item_vs_last_seconds")] = [
+            float(last_any - ts) if ts is not None and last_any is not None else SENTINEL
+            for ts in item_ts
+        ]
+        item_wk = [state["last_imp_week"].get(i) for i in cand_ids]
+        out[:, col("rec_item_weeks")] = [
+            float(self.now_week - wk) if wk is not None else SENTINEL for wk in item_wk
+        ]
+        out[:, col("rec_item_vs_last_weeks")] = [
+            float(last_any_imp - wk) if wk is not None and last_any_imp is not None else SENTINEL
+            for wk in item_wk
+        ]
 
         # ---- candidate positions
-        for r, i in enumerate(cand_ids):
-            ranks = cl.ranks[i]
-            for slot in SLOT_NAMES:
-                out[r, col(f"pos_{slot}")] = float(ranks[slot]) if slot in ranks else SENTINEL
+        ranks = [cl.ranks[i] for i in cand_ids]
+        for slot in SLOT_NAMES:
+            out[:, col(f"pos_{slot}")] = [float(r[slot]) if slot in r else SENTINEL for r in ranks]
 
         # ---- user-item recent counts
-        for r, i in enumerate(cand_ids):
-            out[r, col("uir_user_week")] = float(state["uir_user"].get(i, 0))
-            out[r, col("uir_data_week")] = float(state["uir_data"].get(i, 0))
-
-        # ---- item properties
-        for r, i in enumerate(cand_ids):
-            it = self.dataset.items[i]
-            out[r, col("prop_created_at")] = (
-                float(it.created_at) if it.created_at is not None else SENTINEL
-            )
-            out[r, col("prop_latitude")] = (
-                it.latitude if it.latitude is not None else GEO_SENTINEL
-            )
-            out[r, col("prop_longitude")] = (
-                it.longitude if it.longitude is not None else GEO_SENTINEL
-            )
-            for a in _ATTRS:
-                out[r, col(f"prop_{a}")] = float(getattr(it, a))
-            out[r, col("prop_employment")] = float(it.employment)
+        out[:, col("uir_user_week")] = [float(state["uir_user"].get(i, 0)) for i in cand_ids]
+        out[:, col("uir_data_week")] = [float(state["uir_data"].get(i, 0)) for i in cand_ids]
 
         # ---- content similarity
-        jroles = user.jobroles if user else frozenset()
-        u_career = user.career_level if user else 0
-        for r, i in enumerate(cand_ids):
-            it = self.dataset.items[i]
-            out[r, col("cs_career_diff")] = float(it.career_level - u_career)
-            out[r, col("cs_jobroles_title")] = float(len(jroles & it.title))
-            out[r, col("cs_jobroles_tags")] = float(len(jroles & it.tags))
-            for a in _ATTRS[1:]:
-                out[r, col(f"cs_eq_{a}")] = float(getattr(it, a) == u_attrs[a])
+        out[:, col("cs_career_diff")] = attrs[:, 0] - u_attrs[0]
+        role_tokens = [self._vocab[t] for t in jroles if t in self._vocab]
+        out[:, col("cs_jobroles_title")] = title[:, role_tokens].sum(axis=1)
+        out[:, col("cs_jobroles_tags")] = tags[:, role_tokens].sum(axis=1)
+        out[:, [col(f"cs_eq_{a}") for a in _ATTRS[1:]]] = attrs[:, 1:] == u_attrs[1:]
 
-        # ---- geo distance
-        geo = state["geo"]
-        for r, i in enumerate(cand_ids):
-            it = self.dataset.items[i]
-            if geo is None or it.latitude is None:
-                out[r, col("geo_min_dist")] = SENTINEL
-            else:
-                d = np.sqrt(
-                    (geo[:, 0] - it.latitude) ** 2 + (geo[:, 1] - it.longitude) ** 2
-                )
-                out[r, col("geo_min_dist")] = float(d.min())
+        # ---- geo distance: nearest of the user's positively interacted items
+        geo_rows = state["rows"]["int"]
+        geo_rows = geo_rows[~np.isnan(self._lat[geo_rows])]
+        out[:, col("geo_min_dist")] = SENTINEL
+        if len(geo_rows):
+            lat, lon = self._lat[rows][:, None], self._lon[rows][:, None]
+            d = np.sqrt((self._lat[geo_rows] - lat) ** 2 + (self._lon[geo_rows] - lon) ** 2)
+            out[:, col("geo_min_dist")] = np.where(np.isnan(lat[:, 0]), SENTINEL, d.min(axis=1))
 
         # ---- cluster membership
         hits = state["cluster_hits"]
-        for r, i in enumerate(cand_ids):
-            out[r, col("cluster_hit")] = 1.0 if i in hits else 0.0
+        out[:, col("cluster_hit")] = [1.0 if i in hits else 0.0 for i in cand_ids]
 
         return out
 
@@ -736,19 +620,16 @@ def build_matrix(
             grouped.setdefault(u, []).append(i)
         per_user = list(grouped.items())
 
-    blocks = [
-        extractor.block(u, its) if its else np.empty((0, len(extractor.schema)))
-        for u, its in per_user
-    ]
-
+    # each user's block is written into its slice, so the matrix exists once
+    n_rows = sum(len(its) for _, its in per_user)
+    values = np.empty((n_rows, len(extractor.schema)), dtype=np.float64)
     users_out: list[int] = []
     items_out: list[int] = []
     for u, its in per_user:
+        if its:
+            values[len(items_out) : len(items_out) + len(its)] = extractor.block(u, its)
         users_out.extend([u] * len(its))
         items_out.extend(its)
-    values = (
-        np.vstack(blocks) if blocks else np.empty((0, len(extractor.schema)))
-    )
     labels = None
     if ground_truth is not None:
         labels = np.array(

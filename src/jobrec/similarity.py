@@ -11,7 +11,7 @@ list for k is therefore always a prefix of the one for k+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -132,16 +132,12 @@ def token_csr(
     return sparse.csr_matrix((data, (rows, cols)), shape=(len(ids), max(len(vocab), 1)))
 
 
-def set_csr(sets: list[frozenset[int]], universe: Mapping[int, int]) -> sparse.csr_matrix:
-    """Binary row-per-set matrix over a member -> column map."""
-    rows: list[int] = []
-    cols: list[int] = []
-    for r, members in enumerate(sets):
-        for m in members:
-            rows.append(r)
-            cols.append(universe[m])
-    data = np.ones(len(rows), dtype=np.int32)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(len(sets), max(len(universe), 1)))
+def indicator_matrix(sets: Sequence[Iterable[int]], col_of: Mapping[int, int]) -> np.ndarray:
+    """Dense 0/1 uint8 matrix with one row per set and one column per id of `col_of`."""
+    out = np.zeros((len(sets), len(col_of)), dtype=np.uint8)
+    rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    out[rows, [col_of[m] for s in sets for m in s]] = 1
+    return out
 
 
 def user_interaction_index(event_log) -> SparseSetIndex:

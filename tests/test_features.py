@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobrec.candidates import CandidateGenerator, CandidateList, SLOT_NAMES, save_candidates, load_candidates
 from jobrec.dataio import DataFormatError
@@ -17,9 +18,12 @@ from jobrec.features import (
     build_matrix,
     build_schema,
 )
-from jobrec.split import temporal_split
+from jobrec.pipeline import build_training_file
+from jobrec.split import build_ground_truth, temporal_split
+from jobrec.synth import SynthConfig, generate
 
-from conftest import ev, imp, make_dataset, make_item, make_user
+from conftest import KIND, ev, imp, make_dataset, make_item, make_user
+from oracles import block_oracle, build_matrix_oracle
 
 
 def cand_list(u, items, slot="global_popular"):
@@ -752,3 +756,77 @@ class TestBuildMatrix:
         vals = matrix.values[:, frac_cols]
         ok = (vals == SENTINEL) | ((vals >= 0.0) & (vals <= 1.0))
         assert ok.all()
+
+
+def bits(values):
+    return values.view(np.uint64)
+
+
+@st.composite
+def tiny_variant(draw):
+    """A small random dataset plus a candidate list for every user, one
+    user id absent from the user table among them. Every list holds every
+    item, so self-pairs and items without geo or created_at are scored."""
+    small = st.integers(0, 2)
+    tokens = st.frozensets(st.integers(0, 7), max_size=4)
+
+    def attrs():
+        return {a: draw(small) for a in ("career_level", "discipline_id", "industry_id", "country", "region")}
+
+    n_users, n_items = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    idle, viewer, absent = n_users + 1, n_users + 2, 99
+    users = [make_user(u, jobroles=draw(tokens), **attrs()) for u in range(1, n_users + 3)]
+    items = []
+    for i in range(100, 100 + n_items):
+        geo = draw(st.none() | st.tuples(*[st.floats(-90, 90, allow_nan=False)] * 2))
+        items.append(make_item(
+            i, tags=draw(tokens), title=draw(tokens), employment=draw(small),
+            latitude=geo[0] if geo else None, longitude=geo[1] if geo else None,
+            created_at=draw(st.none() | st.integers(0, 10**9)), **attrs(),
+        ))
+    actor, item = st.integers(1, n_users), st.integers(100, 99 + n_items)
+    # whole days often put an event exactly on a week or day window's edge
+    when = st.integers(0, 21).map(lambda d: d * DAY_SECONDS) | st.integers(0, 3 * WEEK_SECONDS)
+    rows = draw(st.lists(st.builds(ev, actor, item, st.sampled_from(sorted(KIND)), when), max_size=25))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # exact repeats
+    imps = draw(st.lists(st.builds(imp, actor, item, st.integers(2300, 2303)), max_size=12))
+    if imps:
+        imps += draw(st.lists(st.builds(imp, st.just(viewer), item, st.integers(2300, 2303)),
+                              min_size=1, max_size=3))
+    ds = make_dataset(users, items, rows, imps)
+    cands = {}
+    for u in [*range(1, n_users + 1), idle, viewer, absent]:
+        cl = CandidateList(u)
+        for rank, i in enumerate(draw(st.permutations(sorted(ds.items))), start=1):
+            cl.add(i, draw(st.sampled_from(SLOT_NAMES)), rank)
+        cands[u] = cl
+    return ds, cands
+
+
+class TestBlockMatchesOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(tiny_variant())
+    def test_random_variants_bit_equal(self, variant):
+        ds, cands = variant
+        ext = FeatureExtractor(ds, cands)
+        for u, cl in cands.items():
+            got = ext.block(u, cl.items())
+            assert np.array_equal(bits(got), bits(block_oracle(ext, u, cl.items())))
+
+    def test_synth_matrices_bit_equal(self):
+        ds = generate(SynthConfig(users=60, items=90, weeks=6, seed=5))
+        train, holdout = temporal_split(ds, 1)
+        inner, inner_holdout = temporal_split(train, 1)
+        for variant, held in ((train, holdout), (inner, inner_holdout)):
+            truth = build_ground_truth(held, ds.target_users)
+            lists = CandidateGenerator(variant).generate_all(ds.target_users)
+            tf = build_training_file(lists, truth, "paper", seed=1)
+            for rows in (None, [(u, i) for u, i, _ in tf.train_rows + tf.valid_rows]):
+                got = build_matrix(variant, lists, rows=rows, ground_truth=truth)
+                want = build_matrix_oracle(variant, lists, rows=rows, ground_truth=truth)
+                assert len(got) > 0
+                assert np.array_equal(bits(got.values), bits(want.values))
+                assert (got.user_ids == want.user_ids).all()
+                assert (got.item_ids == want.item_ids).all()
+                assert (got.labels == want.labels).all()

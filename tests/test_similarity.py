@@ -7,7 +7,7 @@ from jobrec.similarity import (
     Neighbor,
     SparseSetIndex,
     jaccard,
-    set_csr,
+    indicator_matrix,
     token_csr,
     shared_token_vocab,
 )
@@ -187,12 +187,14 @@ class TestSparseHelpers:
         cross = (tags @ title.T).toarray()
         assert cross[0, 1] == len({1, 2} & {1, 3})
 
-    def test_set_csr_matches_brute_force(self):
+    def test_indicator_matrix_matches_brute_force(self):
         rng = np.random.default_rng(9)
         sets = [set(rng.choice(30, size=int(rng.integers(0, 10)), replace=False).tolist()) for _ in range(20)]
         uni = {t: j for j, t in enumerate(sorted(set().union(*sets)))}
-        m = set_csr(sets, uni)
-        inter = (m @ m.T).toarray()
+        m = indicator_matrix(sets, uni)
+        assert m.dtype == np.uint8 and m.shape == (20, len(uni))
+        m = m.astype(np.int64)
+        inter = m @ m.T
         for a in range(20):
             for b in range(20):
                 assert inter[a, b] == len(sets[a] & sets[b])
