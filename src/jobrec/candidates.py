@@ -14,13 +14,12 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import sparse
 
 from .dataio import DataFormatError, _read_table, _write_tsv
 from .entities import Dataset, POSITIVE_KINDS, WEEK_SECONDS
 from .similarity import (
+    indicator_matrix,
     shared_token_vocab,
-    token_csr,
     user_impression_index,
     user_interaction_index,
 )
@@ -40,6 +39,8 @@ class GeneratorId(IntEnum):
     JOBROLES_TITLE = 8
     GLOBAL_POPULAR = 9
 
+
+_FIELDS = ("tags", "title")
 
 # content-knn sub-rankings: (candidate item field, source item field)
 _KNN_VARIANTS = [
@@ -102,7 +103,7 @@ class CandidateList:
 class CandidateGenerator:
     """All nine generators over one dataset variant.
 
-    Indexes (inverted user/item indexes, token matrices, the popularity
+    Indexes (user neighbour indexes, token indicators, the popularity
     ranking) are built once in the constructor and never mutated.
     """
 
@@ -114,6 +115,8 @@ class CandidateGenerator:
     ) -> None:
         if cap < 1:
             raise ValueError(f"cap must be >= 1, got {cap}")
+        if neighbor_count < 0:
+            raise ValueError(f"neighbor_count must be >= 0, got {neighbor_count}")
         self.dataset = dataset
         self.events = dataset.events
         self.cap = cap
@@ -125,26 +128,29 @@ class CandidateGenerator:
         self._int_index = user_interaction_index(self.events)
         self._imp_index = user_impression_index(self.events)
 
-        self._build_token_matrices()
+        self._build_token_indicators()
         self._popular: list[int] | None = None
         self._recent_cache: dict[tuple[int, str], list[int]] = {}
 
     # ------------------------------------------------------------ token side
 
-    def _build_token_matrices(self) -> None:
-        """CSR item x token matrices for tags and title over a shared vocab."""
+    def _build_token_indicators(self) -> None:
+        """Dense uint8 token indicators over a shared tags/title vocab.
+
+        `_tok_all[f]` is item x token for field f (0 tags, 1 title) over
+        all items in id order; `_tok_act` is token x active item with the
+        tags block and the title block side by side, shape (V, 2A).
+        """
         items = self.dataset.items
-        self._all_ids = np.array(sorted(items), dtype=np.int64)
-        self._row_of = {int(i): r for r, i in enumerate(self._all_ids)}
-        self._vocab = shared_token_vocab(items, (int(i) for i in self._all_ids))
-        all_tags = token_csr(items, self._all_ids, "tags", self._vocab)
-        all_title = token_csr(items, self._all_ids, "title", self._vocab)
-        active_rows = np.array([self._row_of[i] for i in self.active_ids], dtype=np.int64)
-        self._field_all = {"tags": all_tags, "title": all_title}
-        self._field_active = {
-            "tags": all_tags[active_rows] if len(active_rows) else all_tags[:0],
-            "title": all_title[active_rows] if len(active_rows) else all_title[:0],
-        }
+        ids = sorted(items)
+        self._row_of = {i: r for r, i in enumerate(ids)}
+        self._vocab = shared_token_vocab(items, ids)
+        self._tok_all = np.stack([
+            indicator_matrix([getattr(items[i], field) for i in ids], self._vocab)
+            for field in _FIELDS
+        ])
+        act_rows = [self._row_of[int(i)] for i in self.active_ids]
+        self._tok_act = np.concatenate([f[act_rows].T for f in self._tok_all], axis=1)
 
     def _rank_scored(self, scores: np.ndarray, cap: int) -> list[int]:
         """Order active items by (score desc, id asc), keep score >= 1."""
@@ -154,13 +160,26 @@ class CandidateGenerator:
         order = np.lexsort((self.active_ids[idx], -scores[idx]))
         return [int(i) for i in self.active_ids[idx[order[:cap]]]]
 
-    def _knn_scores(self, source_items: list[int], cand_field: str, src_field: str) -> np.ndarray:
+    def _knn_scores(self, source_items: list[int]) -> np.ndarray:
+        """Max token overlap of each active item with the source items.
+
+        Returns shape (source field, candidate field, A). Only the tokens
+        T of the source items can overlap, and only the candidate columns
+        holding one of them can score, so one (2s x |T|) product with those
+        columns of `_tok_act[T]` gives all four field crossings. It runs on
+        float64 copies, which sum small integers exactly.
+        """
         rows = [self._row_of[i] for i in source_items if i in self._row_of]
-        if not rows or len(self.active_ids) == 0:
-            return np.zeros(len(self.active_ids), dtype=np.int64)
-        src = self._field_all[src_field][rows]
-        overlap = self._field_active[cand_field] @ src.T
-        return np.asarray(overlap.max(axis=1).todense()).ravel()
+        if not rows:
+            return np.zeros((2, 2, len(self.active_ids)))
+        src = self._tok_all[:, rows].reshape(2 * len(rows), -1)
+        toks = np.flatnonzero(src.any(axis=0))
+        cand = self._tok_act[toks]
+        cols = np.flatnonzero(cand.any(axis=0))
+        overlap = src[:, toks].astype(np.float64) @ cand[:, cols].astype(np.float64)
+        scores = np.zeros((2, cand.shape[1]))
+        scores[:, cols] = overlap.reshape(2, len(rows), -1).max(axis=1)
+        return scores.reshape(2, 2, -1)
 
     # ------------------------------------------------------------ generators
 
@@ -227,28 +246,22 @@ class CandidateGenerator:
         else:
             source_items = sorted(self.events.imp_items(user_id))
             prefix = "content_imp"
-        out: dict[str, list[int]] = {}
-        for cand_field, src_field in _KNN_VARIANTS:
-            col = f"{prefix}_{cand_field}_{src_field}"
-            if not source_items:
-                out[col] = []
-                continue
-            scores = self._knn_scores(source_items, cand_field, src_field)
-            out[col] = self._rank_scored(scores, self.cap)
-        return out
+        scores = self._knn_scores(source_items)
+        return {
+            f"{prefix}_{cf}_{sf}": self._rank_scored(
+                scores[_FIELDS.index(sf), _FIELDS.index(cf)], self.cap
+            )
+            for cf, sf in _KNN_VARIANTS
+        }
 
     def gen_jobroles_match(self, user_id: int, field: str) -> list[int]:
         user = self.dataset.users.get(user_id)
         if user is None or not user.jobroles:
             return []
         cols = [self._vocab[t] for t in user.jobroles if t in self._vocab]
-        if not cols or len(self.active_ids) == 0:
-            return []
-        qvec = sparse.csr_matrix(
-            (np.ones(len(cols), dtype=np.int32), ([0] * len(cols), cols)),
-            shape=(1, self._field_active[field].shape[1]),
-        )
-        scores = np.asarray((self._field_active[field] @ qvec.T).todense()).ravel()
+        n_act = len(self.active_ids)
+        start = _FIELDS.index(field) * n_act
+        scores = self._tok_act[cols, start:start + n_act].sum(axis=0, dtype=np.int64)
         return self._rank_scored(scores, self.cap)
 
     def gen_popular(self) -> list[int]:

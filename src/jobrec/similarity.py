@@ -1,11 +1,11 @@
-"""Exact top-k set similarity over an inverted index.
+"""Exact top-k set similarity over a dense token x entity indicator.
 
 One index maps entities (users or items) to token sets (item ids, user ids
-or text/tag tokens). Queries enumerate only entities sharing at least one
-token with the query set, so scoring is exact while skipping disjoint
-entities. Results are ordered by descending score with ties broken by
-ascending entity id, and zero-score entities are never returned; the top-k
-list for k is therefore always a prefix of the one for k+1.
+or text/tag tokens). A query sums the indicator rows of its tokens, which
+gives the exact intersection size with every entity at once. Results are
+ordered by descending score with ties broken by ascending entity id, and
+zero-score entities are never returned; the top-k list for k is therefore
+always a prefix of the one for k+1.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,22 +31,22 @@ def jaccard(a: Iterable[int] | frozenset[int], b: Iterable[int] | frozenset[int]
     return inter / union if union else 0.0
 
 
-def _ranked(scores: dict[int, float], k: int) -> list[Neighbor]:
-    order = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [Neighbor(eid, s) for eid, s in order[:k]]
-
-
 class SparseSetIndex:
-    """Forward and inverted views over entity -> token-set assignments."""
+    """Forward sets plus a (tokens x entities) uint8 indicator over them.
+
+    Columns follow ascending entity id.
+    """
 
     def __init__(self, forward: Mapping[int, Iterable[int]]) -> None:
         self.forward: dict[int, frozenset[int]] = {
             eid: frozenset(tokens) for eid, tokens in forward.items()
         }
-        self.inverted: dict[int, list[int]] = {}
-        for eid in sorted(self.forward):
-            for tok in self.forward[eid]:
-                self.inverted.setdefault(tok, []).append(eid)
+        self._ids = np.array(sorted(self.forward), dtype=np.int64)
+        self._col_of = {int(e): c for c, e in enumerate(self._ids)}
+        sets = [self.forward[int(e)] for e in self._ids]
+        self._row_of = {t: r for r, t in enumerate(sorted(set().union(*sets)))}
+        self._members = indicator_matrix(sets, self._row_of).T.copy()
+        self._sizes = np.array([len(s) for s in sets], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.forward)
@@ -55,24 +54,27 @@ class SparseSetIndex:
     def tokens_of(self, entity_id: int) -> frozenset[int]:
         return self.forward.get(entity_id, frozenset())
 
-    def _intersections(self, query: frozenset[int]) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for tok in query:
-            for eid in self.inverted.get(tok, ()):
-                counts[eid] = counts.get(eid, 0) + 1
-        return counts
+    def _intersections(self, query: Iterable[int]) -> np.ndarray:
+        rows = [self._row_of[t] for t in query if t in self._row_of]
+        return self._members[rows].sum(axis=0, dtype=np.int64)
+
+    def _ranked(self, scores: np.ndarray, k: int) -> list[Neighbor]:
+        cols = np.flatnonzero(scores)
+        order = cols[np.lexsort((self._ids[cols], -scores[cols]))[:k]]
+        return [Neighbor(int(e), float(s)) for e, s in zip(self._ids[order], scores[order])]
 
     def overlap_scores(self, query_tokens: Iterable[int]) -> dict[int, int]:
         """Exact |query & tokens(e)| for every entity with a nonzero overlap."""
-        return self._intersections(frozenset(query_tokens))
+        inter = self._intersections(frozenset(query_tokens))
+        cols = np.flatnonzero(inter)
+        return dict(zip(self._ids[cols].tolist(), inter[cols].tolist()))
 
     def top_k_overlap(self, query_tokens: Iterable[int], k: int) -> list[Neighbor]:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
-        counts = self.overlap_scores(query_tokens)
-        return _ranked({e: float(c) for e, c in counts.items()}, k)
+        return self._ranked(self._intersections(frozenset(query_tokens)), k)
 
     def top_k_jaccard(
         self,
@@ -94,14 +96,11 @@ class SparseSetIndex:
             qset = frozenset(query)
         if k == 0 or not qset:
             return []
-        counts = self._intersections(qset)
-        scores: dict[int, float] = {}
-        qlen = len(qset)
-        for eid, inter in counts.items():
-            if eid == exclude:
-                continue
-            scores[eid] = inter / (qlen + len(self.forward[eid]) - inter)
-        return _ranked(scores, k)
+        inter = self._intersections(qset)
+        if exclude in self._col_of:
+            inter[self._col_of[exclude]] = 0
+        # int64 / int64 is one correctly rounded division, as Python's int / int
+        return self._ranked(inter / (len(qset) + self._sizes - inter), k)
 
 
 def shared_token_vocab(items: Mapping[int, object], ids: Iterable[int]) -> dict[int, int]:
@@ -113,23 +112,6 @@ def shared_token_vocab(items: Mapping[int, object], ids: Iterable[int]) -> dict[
             if tok not in vocab:
                 vocab[tok] = len(vocab)
     return vocab
-
-
-def token_csr(
-    items: Mapping[int, object],
-    ids: np.ndarray,
-    field: str,
-    vocab: Mapping[int, int],
-) -> sparse.csr_matrix:
-    """Binary item x token matrix for one field; rows follow `ids` order."""
-    rows: list[int] = []
-    cols: list[int] = []
-    for r, iid in enumerate(ids):
-        for tok in getattr(items[int(iid)], field):
-            rows.append(r)
-            cols.append(vocab[tok])
-    data = np.ones(len(rows), dtype=np.int32)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(len(ids), max(len(vocab), 1)))
 
 
 def indicator_matrix(sets: Sequence[Iterable[int]], col_of: Mapping[int, int]) -> np.ndarray:

@@ -7,6 +7,7 @@ against the oracles on fixtures small enough to brute force.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobrec.candidates import (
     CandidateGenerator,
@@ -20,7 +21,7 @@ from jobrec.candidates import (
 from jobrec.entities import WEEK_SECONDS
 
 import oracles
-from conftest import ev, imp, make_dataset, make_item, make_user
+from conftest import KIND, ev, imp, make_dataset, make_item, make_user
 
 
 WEEK = WEEK_SECONDS
@@ -62,6 +63,50 @@ def random_dataset(rng, n_users=30, n_items=60, n_events=200, n_imps=200, weeks=
         for _ in range(n_imps)
     ]
     return make_dataset(users, items, interactions, impressions)
+
+
+@st.composite
+def tiny_dataset(draw):
+    """A small random dataset plus a cap and a neighbour count.
+
+    Tags and titles draw from one token pool, empty sets included; job
+    roles also draw tokens 8-11, which no item carries. User n+1 has no
+    events, user n+2 only impressions, and tests add user 99, who is not
+    in the user table; about one dataset in four has no active item."""
+    tokens = st.frozensets(st.integers(0, 7), max_size=4)
+    n_users, n_items = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    viewer = n_users + 2
+    users = [
+        make_user(u, jobroles=draw(st.frozensets(st.integers(0, 11), max_size=3)))
+        for u in range(1, n_users + 3)
+    ]
+    none_active = draw(st.sampled_from([False, False, False, True]))
+    items = [
+        make_item(i, active=not none_active and draw(st.sampled_from([True, True, False])),
+                  tags=draw(tokens), title=draw(tokens))
+        for i in range(100, 100 + n_items)
+    ]
+    actor, item = st.integers(1, n_users), st.integers(100, 99 + n_items)
+    rows = draw(st.lists(
+        st.builds(ev, actor, item, st.sampled_from(sorted(KIND)), st.integers(0, 3 * WEEK)),
+        max_size=25,
+    ))
+    imps = draw(st.lists(st.builds(imp, actor | st.just(viewer), item, st.integers(2300, 2303)),
+                         max_size=15))
+    imps.append(imp(viewer, draw(item), draw(st.integers(2300, 2303))))
+    ds = make_dataset(users, items, rows, imps)
+    return ds, draw(st.sampled_from([60, 2, 1])), draw(st.sampled_from([60, 1, 0]))
+
+
+class TestArguments:
+    @pytest.mark.parametrize("cap, neighbors, message", [
+        (0, 60, "cap must be >= 1, got 0"),
+        (60, -1, "neighbor_count must be >= 0, got -1"),
+    ])
+    def test_out_of_range_rejected(self, cap, neighbors, message):
+        ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=10)])
+        with pytest.raises(ValueError, match=message):
+            CandidateGenerator(ds, cap, neighbors)
 
 
 class TestRecentInteractions:
@@ -311,6 +356,14 @@ class TestOracleSweep:
                 assert got == want, f"trial {trial} user {u}"
                 lists_checked += 15
         assert lists_checked >= 6 * 5 * 15
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tiny_dataset())
+    def test_random_datasets_match(self, case):
+        ds, cap, neighbors = case
+        gen = CandidateGenerator(ds, cap, neighbors)
+        for u in [*ds.users, 99]:
+            assert gen.generate(u).ranks == oracles.merged_oracle(ds, u, cap, neighbors), u
 
     def test_small_cap_respected(self):
         rng = np.random.default_rng(78)

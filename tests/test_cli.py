@@ -131,6 +131,19 @@ class TestFailures:
         ])
         assert result.exit_code != 0
 
+    def test_negative_neighbors_rejected(self, tmp_path):
+        runner = CliRunner()
+        run(runner, "synth", "--out", tmp_path / "d", "--users", 30, "--items", 60,
+            "--weeks", 4, "--seed", 3)
+        out = tmp_path / "c.tsv"
+        result = runner.invoke(main, [
+            "candidates", "--data", str(tmp_path / "d"), "--out", str(out), "--neighbors", "-1",
+        ])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "neighbor_count must be >= 0, got -1"
+        assert not out.exists()
+
     def test_invalid_synth_sizes_nonzero_exit(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [

@@ -8,11 +8,7 @@ from jobrec.similarity import (
     SparseSetIndex,
     jaccard,
     indicator_matrix,
-    token_csr,
-    shared_token_vocab,
 )
-
-from conftest import make_item
 
 
 # ---------------------------------------------------------------------------
@@ -20,10 +16,14 @@ from conftest import make_item
 
 
 def brute_jaccard_topk(forward, query_id, k):
-    q = forward[query_id]
+    return brute_jaccard_set_topk(forward, forward[query_id], k, exclude=query_id)
+
+
+def brute_jaccard_set_topk(forward, query, k, exclude=None):
+    q = set(query)
     scored = []
     for eid, toks in forward.items():
-        if eid == query_id or not q:
+        if eid == exclude or not q:
             continue
         inter = len(q & toks)
         if inter == 0:
@@ -152,6 +152,20 @@ class TestBruteForceEquivalence:
                     want = brute_jaccard_topk(fwd, qid, k)
                     assert got == want
 
+    def test_explicit_set_queries(self):
+        # query sets mix known tokens with ones no entity holds (>= 60); the
+        # excluded id is an indexed entity, an id the index lacks, or none
+        rng = np.random.default_rng(45)
+        for _ in range(60):
+            fwd = self.random_forward(rng)
+            idx = SparseSetIndex(fwd)
+            query = set(rng.choice(70, size=int(rng.integers(1, 10)), replace=False).tolist())
+            query.add(60 + int(rng.integers(0, 10)))
+            for exclude in (None, int(rng.choice(list(fwd))), 5000):
+                for k in (1, 5, 100):
+                    got = idx.top_k_jaccard(query, k, exclude=exclude)
+                    assert got == brute_jaccard_set_topk(fwd, query, k, exclude), exclude
+
     def test_overlap_queries(self):
         rng = np.random.default_rng(43)
         for _ in range(60):
@@ -173,20 +187,6 @@ class TestBruteForceEquivalence:
 
 
 class TestSparseHelpers:
-    def test_token_csr_counts(self):
-        items = {
-            101: make_item(101, tags=frozenset({1, 2}), title=frozenset({3})),
-            102: make_item(102, tags=frozenset({2}), title=frozenset({1, 3})),
-        }
-        ids = np.array([101, 102])
-        vocab = shared_token_vocab(items, [101, 102])
-        tags = token_csr(items, ids, "tags", vocab)
-        title = token_csr(items, ids, "title", vocab)
-        inter = (tags @ tags.T).toarray()
-        assert inter[0, 1] == len({1, 2} & {2})
-        cross = (tags @ title.T).toarray()
-        assert cross[0, 1] == len({1, 2} & {1, 3})
-
     def test_indicator_matrix_matches_brute_force(self):
         rng = np.random.default_rng(9)
         sets = [set(rng.choice(30, size=int(rng.integers(0, 10)), replace=False).tolist()) for _ in range(20)]
