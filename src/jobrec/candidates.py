@@ -17,12 +17,8 @@ import numpy as np
 
 from .dataio import DataFormatError, _read_table, _write_tsv
 from .entities import Dataset, POSITIVE_KINDS, WEEK_SECONDS
-from .similarity import (
-    indicator_matrix,
-    shared_token_vocab,
-    user_impression_index,
-    user_interaction_index,
-)
+from .index import TOKEN_FIELDS
+from .similarity import SparseSetIndex
 
 DEFAULT_CAP = 60
 DEFAULT_NEIGHBORS = 60
@@ -39,8 +35,6 @@ class GeneratorId(IntEnum):
     JOBROLES_TITLE = 8
     GLOBAL_POPULAR = 9
 
-
-_FIELDS = ("tags", "title")
 
 # content-knn sub-rankings: (candidate item field, source item field)
 _KNN_VARIANTS = [
@@ -76,10 +70,6 @@ SLOT_COLUMNS: list[tuple[GeneratorId, str]] = (
 SLOT_NAMES: list[str] = [col for _, col in SLOT_COLUMNS]
 
 
-def slots_for(generator: GeneratorId) -> list[str]:
-    return [col for gen, col in SLOT_COLUMNS if gen == generator]
-
-
 class CandidateList:
     """Merged candidates of one user: item -> slot -> 1-based rank."""
 
@@ -103,8 +93,9 @@ class CandidateList:
 class CandidateGenerator:
     """All nine generators over one dataset variant.
 
-    Indexes (user neighbour indexes, token indicators, the popularity
-    ranking) are built once in the constructor and never mutated.
+    Item rows, token indicators and the popularity ranking come from the
+    variant's shared `Dataset.index`; the constructor adds the user
+    neighbour indexes. Only the per-user recency cache changes afterwards.
     """
 
     def __init__(
@@ -118,39 +109,25 @@ class CandidateGenerator:
         if neighbor_count < 0:
             raise ValueError(f"neighbor_count must be >= 0, got {neighbor_count}")
         self.dataset = dataset
-        self.events = dataset.events
+        self.events = ev = dataset.events
+        self.index = index = dataset.index
         self.cap = cap
         self.neighbor_count = neighbor_count
 
-        self.active_ids = np.array(dataset.active_item_ids(), dtype=np.int64)
-        self._active_set = frozenset(int(i) for i in self.active_ids)
+        self.active_ids = index.active_ids
+        self._active_set = index.active_set
 
-        self._int_index = user_interaction_index(self.events)
-        self._imp_index = user_impression_index(self.events)
+        self._int_index = SparseSetIndex(
+            {u: s for u in ev.by_user_interactions if (s := ev.int_items(u))}
+        )
+        self._imp_index = SparseSetIndex({u: ev.imp_items(u) for u in ev.by_user_impressions})
 
-        self._build_token_indicators()
-        self._popular: list[int] | None = None
+        # (V, 2A): token x active item, the tags block then the title block
+        self._tok_act = np.concatenate([f[index.active_rows].T for f in index.tokens], axis=1)
+        self._popular = index.popular[:cap].tolist()
         self._recent_cache: dict[tuple[int, str], list[int]] = {}
 
     # ------------------------------------------------------------ token side
-
-    def _build_token_indicators(self) -> None:
-        """Dense uint8 token indicators over a shared tags/title vocab.
-
-        `_tok_all[f]` is item x token for field f (0 tags, 1 title) over
-        all items in id order; `_tok_act` is token x active item with the
-        tags block and the title block side by side, shape (V, 2A).
-        """
-        items = self.dataset.items
-        ids = sorted(items)
-        self._row_of = {i: r for r, i in enumerate(ids)}
-        self._vocab = shared_token_vocab(items, ids)
-        self._tok_all = np.stack([
-            indicator_matrix([getattr(items[i], field) for i in ids], self._vocab)
-            for field in _FIELDS
-        ])
-        act_rows = [self._row_of[int(i)] for i in self.active_ids]
-        self._tok_act = np.concatenate([f[act_rows].T for f in self._tok_all], axis=1)
 
     def _rank_scored(self, scores: np.ndarray, cap: int) -> list[int]:
         """Order active items by (score desc, id asc), keep score >= 1."""
@@ -169,10 +146,11 @@ class CandidateGenerator:
         columns of `_tok_act[T]` gives all four field crossings. It runs on
         float64 copies, which sum small integers exactly.
         """
-        rows = [self._row_of[i] for i in source_items if i in self._row_of]
+        row_of = self.index.row_of
+        rows = [row_of[i] for i in source_items if i in row_of]
         if not rows:
             return np.zeros((2, 2, len(self.active_ids)))
-        src = self._tok_all[:, rows].reshape(2 * len(rows), -1)
+        src = self.index.tokens[:, rows].reshape(2 * len(rows), -1)
         toks = np.flatnonzero(src.any(axis=0))
         cand = self._tok_act[toks]
         cols = np.flatnonzero(cand.any(axis=0))
@@ -249,7 +227,7 @@ class CandidateGenerator:
         scores = self._knn_scores(source_items)
         return {
             f"{prefix}_{cf}_{sf}": self._rank_scored(
-                scores[_FIELDS.index(sf), _FIELDS.index(cf)], self.cap
+                scores[TOKEN_FIELDS.index(sf), TOKEN_FIELDS.index(cf)], self.cap
             )
             for cf, sf in _KNN_VARIANTS
         }
@@ -258,23 +236,14 @@ class CandidateGenerator:
         user = self.dataset.users.get(user_id)
         if user is None or not user.jobroles:
             return []
-        cols = [self._vocab[t] for t in user.jobroles if t in self._vocab]
+        vocab = self.index.vocab
+        cols = [vocab[t] for t in user.jobroles if t in vocab]
         n_act = len(self.active_ids)
-        start = _FIELDS.index(field) * n_act
+        start = TOKEN_FIELDS.index(field) * n_act
         scores = self._tok_act[cols, start:start + n_act].sum(axis=0, dtype=np.int64)
         return self._rank_scored(scores, self.cap)
 
     def gen_popular(self) -> list[int]:
-        if self._popular is None:
-            counts: dict[int, int] = {}
-            for ev in self.events.interactions:
-                if ev.kind in POSITIVE_KINDS:
-                    counts[ev.item_id] = counts.get(ev.item_id, 0) + 1
-            ranked = sorted(
-                (i for i in counts if i in self._active_set),
-                key=lambda i: (-counts[i], i),
-            )
-            self._popular = ranked[: self.cap]
         return self._popular
 
     # --------------------------------------------------------------- merging

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 WEEK_SECONDS = 7 * 24 * 3600
 DAY_SECONDS = 24 * 3600
@@ -191,8 +192,12 @@ class Dataset:
     def impressions(self) -> list[Impression]:
         return self.events.impressions
 
-    def active_item_ids(self) -> list[int]:
-        return sorted(i for i, it in self.items.items() if it.active_during_test)
+    @cached_property
+    def index(self):
+        """The variant's shared read-only `DatasetIndex`, built on first use."""
+        from .index import DatasetIndex
+
+        return DatasetIndex(self)
 
 
 # ground truth: target user -> non-empty set of held-out positively

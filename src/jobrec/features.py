@@ -19,27 +19,14 @@ import zipfile
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .candidates import SLOT_NAMES, CandidateList
 from .dataio import DataFormatError
-from .entities import (
-    DAY_SECONDS,
-    Dataset,
-    GroundTruth,
-    InteractionKind,
-    POSITIVE_KINDS,
-    WEEK_SECONDS,
-)
-from .similarity import indicator_matrix, shared_token_vocab
-
-SENTINEL = -1.0
-GEO_SENTINEL = -999.0
-CLUSTER_WINDOW_SECONDS = 600
-
-_ATTRS = ["career_level", "discipline_id", "industry_id", "country", "region"]
+from .entities import DAY_SECONDS, Dataset, GroundTruth, InteractionKind, POSITIVE_KINDS
+from .index import ATTRS, GEO_SENTINEL, SENTINEL
 
 # arrays a feature-matrix archive must hold to load; "labels" is optional
 _MATRIX_ARRAYS = ("user_ids", "item_ids", "values", "names", "groups", "sentinels")
@@ -71,9 +58,6 @@ class FeatureSchema:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def group_of(self, name: str) -> str:
-        return self.specs[self._index[name]].group
-
 
 def build_schema() -> FeatureSchema:
     specs: list[FeatureSpec] = []
@@ -82,12 +66,12 @@ def build_schema() -> FeatureSchema:
         specs.append(FeatureSpec(name, group, sentinel))
 
     for src in ("int", "imp"):
-        for attr in _ATTRS:
+        for attr in ATTRS:
             add(f"match_{src}_{attr}", "event_match")
     for src in ("int", "imp"):
         add(f"match_{src}_tags", "event_match")
         add(f"match_{src}_title", "event_match")
-    for attr in _ATTRS:
+    for attr in ATTRS:
         add(f"match_users_{attr}", "event_match")
     add("match_users_jobroles", "event_match")
 
@@ -131,46 +115,19 @@ def build_schema() -> FeatureSchema:
     add("prop_created_at", "item_property")
     add("prop_latitude", "item_property", GEO_SENTINEL)
     add("prop_longitude", "item_property", GEO_SENTINEL)
-    for attr in _ATTRS:
+    for attr in ATTRS:
         add(f"prop_{attr}", "item_property")
     add("prop_employment", "item_property")
 
     add("cs_career_diff", "content_similarity")
     add("cs_jobroles_title", "content_similarity")
     add("cs_jobroles_tags", "content_similarity")
-    for attr in _ATTRS[1:]:
+    for attr in ATTRS[1:]:
         add(f"cs_eq_{attr}", "content_similarity")
 
     add("geo_min_dist", "geo_distance")
     add("cluster_hit", "item_cluster")
     return FeatureSchema(specs)
-
-
-class ItemClusterIndex:
-    """Pairs of items positively interacted by one user within a short window.
-
-    The relation is symmetric and irreflexive; neighbors(i) never contains i.
-    """
-
-    def __init__(self, event_log, window_seconds: int = CLUSTER_WINDOW_SECONDS) -> None:
-        self.window_seconds = window_seconds
-        self._neighbors: dict[int, set[int]] = {}
-        for user_id in event_log.by_user_interactions:
-            events = [
-                e for e in event_log.interactions_of(user_id) if e.kind in POSITIVE_KINDS
-            ]
-            lo = 0
-            for hi, ev in enumerate(events):
-                while ev.timestamp - events[lo].timestamp > window_seconds:
-                    lo += 1
-                for other in events[lo:hi]:
-                    if other.item_id != ev.item_id:
-                        self._neighbors.setdefault(ev.item_id, set()).add(other.item_id)
-                        self._neighbors.setdefault(other.item_id, set()).add(ev.item_id)
-
-    def neighbors(self, item_id: int) -> frozenset[int]:
-        got = self._neighbors.get(item_id)
-        return frozenset(got) if got is not None else frozenset()
 
 
 @dataclass
@@ -245,122 +202,32 @@ class FeatureMatrix:
             raise DataFormatError(f"{path}: {exc}") from None
 
 
-def _attr_array(entities: list) -> np.ndarray:
-    """(n, 5) int64 array of the `_ATTRS` values, one row per user or item."""
-    return np.array(
-        [[getattr(e, a) for a in _ATTRS] for e in entities], dtype=np.int64
-    ).reshape(len(entities), len(_ATTRS))
-
-
 class FeatureExtractor:
     """Computes feature blocks per user over one dataset variant.
 
-    `__init__` turns the variant into arrays with one row per item in
-    sorted id order: attributes, a block of popularity and property
-    columns, coordinates (NaN without geo), and 0/1 item x token and
-    item x user indicators. `block` gathers the candidates' rows and
-    combines them with the user's through matrix products and broadcasts.
-    Indicators are stored as uint8 and cast to float64 per block, so every
-    product sums small integers exactly.
+    `block` gathers the candidates' rows of the variant's item arrays
+    (`Dataset.index`) and combines them with the user's through matrix
+    products and broadcasts. Indicators are stored as uint8 and cast to
+    float64 per block, so every product sums small integers exactly.
 
     Assumes referential integrity: every event references a user and item
     present in the entity tables (the loader enforces this; the synthesizer
     produces it by construction).
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        candidates: Mapping[int, CandidateList],
-        cluster_index: ItemClusterIndex | None = None,
-    ) -> None:
+    def __init__(self, dataset: Dataset, candidates: Mapping[int, CandidateList]) -> None:
         self.dataset = dataset
         self.events = dataset.events
+        self.index = dataset.index
         self.candidates = candidates
         self.schema = build_schema()
-        self.cluster = cluster_index if cluster_index is not None else ItemClusterIndex(self.events)
-
-        self.now = self.events.max_timestamp
-        self.now_week = self.events.max_impression_week
-
-        ids = sorted(dataset.items)
-        self._row_of = {i: r for r, i in enumerate(ids)}
-        items = [dataset.items[i] for i in ids]
-        self._vocab = shared_token_vocab(dataset.items, ids)
-        self._tags = indicator_matrix([it.tags for it in items], self._vocab)
-        self._title = indicator_matrix([it.title for it in items], self._vocab)
-        self._attrs = _attr_array(items)
-        self._lat = np.array([np.nan if it.latitude is None else it.latitude for it in items])
-        self._lon = np.array([np.nan if it.longitude is None else it.longitude for it in items])
-        item_columns = {**self._popularity(), **self._properties(items)}
-        self._item_cols = [self.schema.index(name) for name in item_columns]
-        self._item_block = np.column_stack(list(item_columns.values()))
-
-        self._user_row = {u: r for r, u in enumerate(sorted(dataset.users))}
-        users = [dataset.users[u] for u in self._user_row]
-        self._user_attrs = _attr_array(users)
-        roles = sorted({t for u in users for t in u.jobroles})
-        self._jr_vocab = {t: c for c, t in enumerate(roles)}
-        self._jobroles = indicator_matrix([u.jobroles for u in users], self._jr_vocab)
-        self._item_users = {
-            "int": indicator_matrix([self.events.int_users(i) for i in ids], self._user_row),
-            "imp": indicator_matrix([self.events.imp_users(i) for i in ids], self._user_row),
-        }
-        self._item_deg = {src: m.sum(axis=1, dtype=np.int64) for src, m in self._item_users.items()}
-        self._user_deg = {src: m.sum(axis=0, dtype=np.int64) for src, m in self._item_users.items()}
-
-    # -------------------------------------------------------- precomputation
-
-    def _popularity(self) -> dict[str, np.ndarray]:
-        """Per-item event counts and +1-smoothed trend ratios, by column name."""
-        n = len(self._row_of)
-        ints = self.events.interactions
-        events = [(self._row_of[e.item_id], e.kind, e.timestamp) for e in ints]
-        rows, kinds, ts = np.array(events, dtype=np.int64).reshape(len(ints), 3).T
-        positive = np.isin(kinds, list(POSITIVE_KINDS))
-
-        def count(mask: np.ndarray) -> np.ndarray:
-            return np.bincount(rows[mask], minlength=n).astype(np.float64)
-
-        pop = {"pop_int_total": count(positive)}
-        for kind in InteractionKind:
-            pop[f"pop_{kind.name.lower()}"] = count(kinds == kind)
-        imp_rows = [self._row_of[im.item_id] for im in self.events.impressions]
-        pop["pop_imp_total"] = np.bincount(
-            np.array(imp_rows, dtype=np.int64), minlength=n
-        ).astype(np.float64)
-        week_lo = self.now - 7 * DAY_SECONDS
-        last_week = count(positive & (ts > week_lo))
-        prev_week = count(positive & (ts > week_lo - 7 * DAY_SECONDS) & (ts <= week_lo))
-        pop["pop_trend_week"] = (last_week + 1.0) / (prev_week + 1.0)
-        day = ts // DAY_SECONDS
-        now_day = self.now // DAY_SECONDS
-        for bucket in range(7):
-            # the latest calendar day in this day-of-week bucket against the
-            # same weekday one week earlier
-            d1 = now_day - ((now_day - bucket) % 7)
-            c1 = count(positive & (day == d1))
-            c0 = count(positive & (day == d1 - 7))
-            pop[f"pop_trend_day{bucket}"] = (c1 + 1.0) / (c0 + 1.0)
-        return pop
-
-    def _properties(self, items: list) -> dict[str, np.ndarray]:
-        """Raw item properties with their sentinels, by column name."""
-        props = {
-            "prop_created_at": [
-                SENTINEL if it.created_at is None else float(it.created_at) for it in items
-            ],
-            "prop_latitude": np.where(np.isnan(self._lat), GEO_SENTINEL, self._lat),
-            "prop_longitude": np.where(np.isnan(self._lon), GEO_SENTINEL, self._lon),
-        }
-        for k, a in enumerate(_ATTRS):
-            props[f"prop_{a}"] = self._attrs[:, k]
-        props["prop_employment"] = [it.employment for it in items]
-        return {name: np.asarray(v, dtype=np.float64) for name, v in props.items()}
+        names, self._item_block = self.index.item_block
+        self._item_cols = [self.schema.index(name) for name in names]
 
     # -------------------------------------------------------- per-user state
 
     def _user_state(self, user_id: int) -> dict:
+        ix = self.index
         events = self.events.interactions_of(user_id)
         positive = [e for e in events if e.kind in POSITIVE_KINDS]
         imps = self.events.impressions_of(user_id)
@@ -393,12 +260,12 @@ class FeatureExtractor:
 
         int_items = sorted(self.events.int_items(user_id))
         imp_items = sorted(self.events.imp_items(user_id))
-        week_lo = self.now - 7 * DAY_SECONDS
-        imp_week_events = [im for im in imps if im.week == self.now_week]
+        week_lo = ix.now - 7 * DAY_SECONDS
+        imp_week_events = [im for im in imps if im.week == ix.now_week]
 
         cluster_hits: set[int] = set()
         for i in int_items:
-            cluster_hits |= self.cluster.neighbors(i)
+            cluster_hits |= ix.cluster.neighbors(i)
 
         return {
             "last_ts": last_ts,
@@ -407,17 +274,17 @@ class FeatureExtractor:
             "last_any_imp": last_any_imp,
             "kind_counts": kind_counts,
             "uir_user": window_counts(last_any),
-            "uir_data": window_counts(self.now),
+            "uir_data": window_counts(ix.now),
             "rows": {
-                "int": np.array([self._row_of[i] for i in int_items], dtype=np.int64),
-                "imp": np.array([self._row_of[i] for i in imp_items], dtype=np.int64),
+                "int": np.array([ix.row_of[i] for i in int_items], dtype=np.int64),
+                "imp": np.array([ix.row_of[i] for i in imp_items], dtype=np.int64),
             },
             "act": {
                 "int_events": float(len(positive)),
                 "int_unique": float(len(int_items)),
-                "int_events_week": float(sum(1 for t in pos_ts if week_lo < t <= self.now)),
+                "int_events_week": float(sum(1 for t in pos_ts if week_lo < t <= ix.now)),
                 "int_unique_week": float(
-                    len({e.item_id for e in positive if week_lo < e.timestamp <= self.now})
+                    len({e.item_id for e in positive if week_lo < e.timestamp <= ix.now})
                 ),
                 "imp_events": float(len(imps)),
                 "imp_unique": float(len(imp_items)),
@@ -437,8 +304,8 @@ class FeatureExtractor:
         the user's items, self-pairs excluded. cf_user: max Jaccard over
         items between the user and each other user of the candidate.
         """
-        mat = self._item_users[src]
-        deg = self._item_deg[src]
+        ix = self.index
+        mat, deg, user_deg = ix.item_users[src]
         # users sharing an item with this user; every other user scores 0
         shared = mat[src_rows].sum(axis=0, dtype=np.int64)
         near = np.flatnonzero(shared)
@@ -457,9 +324,9 @@ class FeatureExtractor:
             cf_item = np.full(len(rows), SENTINEL)
 
         c = shared[near]
-        sims = c / (len(src_rows) + self._user_deg[src][near] - c)
+        sims = c / (len(src_rows) + user_deg[near] - c)
         others = deg[rows]
-        me = self._user_row.get(user_id)
+        me = ix.user_row.get(user_id)
         if me is not None:
             others = others - mat[rows, me]
             sims[near == me] = 0.0
@@ -478,6 +345,7 @@ class FeatureExtractor:
                 raise ValueError(f"pair ({user_id}, {i}) is not in the candidate list")
 
         schema = self.schema
+        ix = self.index
         n = len(items)
         out = np.empty((n, len(schema)), dtype=np.float64)
         state = self._user_state(user_id)
@@ -485,36 +353,37 @@ class FeatureExtractor:
         col = schema.index
 
         cand_ids = [int(i) for i in items]
-        rows = np.array([self._row_of[i] for i in cand_ids], dtype=np.int64)
-        attrs = self._attrs[rows]
-        tags = self._tags[rows].astype(np.float64)
-        title = self._title[rows].astype(np.float64)
-        u_attrs = np.array([getattr(user, a) if user else 0 for a in _ATTRS], dtype=np.int64)
+        rows = np.array([ix.row_of[i] for i in cand_ids], dtype=np.int64)
+        attrs = ix.attrs[rows]
+        tags, title = ix.tokens[:, rows].astype(np.float64)
+        u_attrs = np.array([getattr(user, a) if user else 0 for a in ATTRS], dtype=np.int64)
         jroles = user.jobroles if user else frozenset()
 
         # ---- event_match + common_tokens (token side, both sources)
         for src in ("int", "imp"):
             src_rows = state["rows"][src]
-            attr_cols = [col(f"match_{src}_{a}") for a in _ATTRS]
+            attr_cols = [col(f"match_{src}_{a}") for a in ATTRS]
             token_cols = [col(f"match_{src}_tags"), col(f"match_{src}_title")]
             common_cols = [col(f"common_tags_{src}"), col(f"common_title_{src}")]
             if not len(src_rows):
                 out[:, attr_cols + token_cols + common_cols] = SENTINEL
                 continue
-            out[:, attr_cols] = (attrs[:, None, :] == self._attrs[src_rows]).mean(axis=1)
-            for k, (field, cand) in enumerate(((self._tags, tags), (self._title, title))):
+            out[:, attr_cols] = (attrs[:, None, :] == ix.attrs[src_rows]).mean(axis=1)
+            for k, (field, cand) in enumerate(zip(ix.tokens, (tags, title))):
                 overlap = cand @ field[src_rows].astype(np.float64).T
                 out[:, token_cols[k]] = (overlap > 0).mean(axis=1)
                 out[:, common_cols[k]] = overlap.max(axis=1)
 
         # ---- event_match, user side: shares of the candidate's users with
         # the user's attribute values, and sharing one of the user's job roles
-        shares_role = self._jobroles[:, [self._jr_vocab[t] for t in jroles]].any(axis=1)
-        alike = np.column_stack([self._user_attrs == u_attrs, shares_role]).astype(np.float64)
-        deg = self._item_deg["int"][rows][:, None]
-        user_cols = [col(f"match_users_{a}") for a in _ATTRS] + [col("match_users_jobroles")]
+        role_col, roles = ix.jobroles
+        shares_role = roles[:, [role_col[t] for t in jroles]].any(axis=1)
+        alike = np.column_stack([ix.user_attrs == u_attrs, shares_role]).astype(np.float64)
+        mat, deg, _ = ix.item_users["int"]
+        deg = deg[rows][:, None]
+        user_cols = [col(f"match_users_{a}") for a in ATTRS] + [col("match_users_jobroles")]
         out[:, user_cols] = np.divide(
-            self._item_users["int"][rows].astype(np.float64) @ alike,
+            mat[rows].astype(np.float64) @ alike,
             deg,
             out=np.full((n, len(user_cols)), SENTINEL),
             where=deg > 0,
@@ -541,15 +410,15 @@ class FeatureExtractor:
         # ---- recency
         last_any = state["last_any"]
         out[:, col("rec_user_seconds")] = (
-            float(self.now - last_any) if last_any is not None else SENTINEL
+            float(ix.now - last_any) if last_any is not None else SENTINEL
         )
         last_any_imp = state["last_any_imp"]
         out[:, col("rec_user_weeks")] = (
-            float(self.now_week - last_any_imp) if last_any_imp is not None else SENTINEL
+            float(ix.now_week - last_any_imp) if last_any_imp is not None else SENTINEL
         )
         item_ts = [state["last_ts"].get(i) for i in cand_ids]
         out[:, col("rec_item_seconds")] = [
-            float(self.now - ts) if ts is not None else SENTINEL for ts in item_ts
+            float(ix.now - ts) if ts is not None else SENTINEL for ts in item_ts
         ]
         out[:, col("rec_item_vs_last_seconds")] = [
             float(last_any - ts) if ts is not None and last_any is not None else SENTINEL
@@ -557,7 +426,7 @@ class FeatureExtractor:
         ]
         item_wk = [state["last_imp_week"].get(i) for i in cand_ids]
         out[:, col("rec_item_weeks")] = [
-            float(self.now_week - wk) if wk is not None else SENTINEL for wk in item_wk
+            float(ix.now_week - wk) if wk is not None else SENTINEL for wk in item_wk
         ]
         out[:, col("rec_item_vs_last_weeks")] = [
             float(last_any_imp - wk) if wk is not None and last_any_imp is not None else SENTINEL
@@ -575,18 +444,18 @@ class FeatureExtractor:
 
         # ---- content similarity
         out[:, col("cs_career_diff")] = attrs[:, 0] - u_attrs[0]
-        role_tokens = [self._vocab[t] for t in jroles if t in self._vocab]
+        role_tokens = [ix.vocab[t] for t in jroles if t in ix.vocab]
         out[:, col("cs_jobroles_title")] = title[:, role_tokens].sum(axis=1)
         out[:, col("cs_jobroles_tags")] = tags[:, role_tokens].sum(axis=1)
-        out[:, [col(f"cs_eq_{a}") for a in _ATTRS[1:]]] = attrs[:, 1:] == u_attrs[1:]
+        out[:, [col(f"cs_eq_{a}") for a in ATTRS[1:]]] = attrs[:, 1:] == u_attrs[1:]
 
         # ---- geo distance: nearest of the user's positively interacted items
         geo_rows = state["rows"]["int"]
-        geo_rows = geo_rows[~np.isnan(self._lat[geo_rows])]
+        geo_rows = geo_rows[~np.isnan(ix.lat[geo_rows])]
         out[:, col("geo_min_dist")] = SENTINEL
         if len(geo_rows):
-            lat, lon = self._lat[rows][:, None], self._lon[rows][:, None]
-            d = np.sqrt((self._lat[geo_rows] - lat) ** 2 + (self._lon[geo_rows] - lon) ** 2)
+            lat, lon = ix.lat[rows][:, None], ix.lon[rows][:, None]
+            d = np.sqrt((ix.lat[geo_rows] - lat) ** 2 + (ix.lon[geo_rows] - lon) ** 2)
             out[:, col("geo_min_dist")] = np.where(np.isnan(lat[:, 0]), SENTINEL, d.min(axis=1))
 
         # ---- cluster membership
@@ -601,7 +470,6 @@ def build_matrix(
     candidates: Mapping[int, CandidateList],
     rows: Sequence[tuple[int, int]] | None = None,
     ground_truth: GroundTruth | None = None,
-    cluster_index: ItemClusterIndex | None = None,
 ) -> FeatureMatrix:
     """Feature matrix for (user, item) pairs.
 
@@ -609,7 +477,7 @@ def build_matrix(
     only the given pairs (which must appear in the candidate lists). When
     ground_truth is given a 0/1 label column is attached.
     """
-    extractor = FeatureExtractor(dataset, candidates, cluster_index)
+    extractor = FeatureExtractor(dataset, candidates)
     if rows is None:
         per_user: list[tuple[int, list[int]]] = [
             (u, cl.items()) for u, cl in candidates.items()

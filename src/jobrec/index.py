@@ -1,0 +1,207 @@
+"""One read-only index per dataset variant, shared by every stage.
+
+Candidates, features and the baselines read a dataset variant through
+`Dataset.index`, so item row order, the tags/title vocabulary and the
+popularity ranking are decided here only. Arrays and maps are read-only:
+a stray in-place write raises instead of corrupting another consumer.
+The parts only features read are built on first use. Events on items
+missing from the item table are left out of every count.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
+
+import numpy as np
+
+from .entities import DAY_SECONDS, Dataset, InteractionKind, POSITIVE_KINDS
+from .similarity import indicator_matrix
+
+SENTINEL = -1.0
+GEO_SENTINEL = -999.0
+CLUSTER_WINDOW_SECONDS = 600
+
+ATTRS = ("career_level", "discipline_id", "industry_id", "country", "region")
+TOKEN_FIELDS = ("tags", "title")
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+def shared_token_vocab(items: list) -> dict[int, int]:
+    """Token -> column over the union of tags and title terms, numbered in
+    order of first appearance (items in the given order, tokens ascending)."""
+    vocab: dict[int, int] = {}
+    for it in items:
+        for tok in sorted(it.tags | it.title):
+            vocab.setdefault(tok, len(vocab))
+    return vocab
+
+
+def _attr_array(entities: list) -> np.ndarray:
+    """(n, 5) int64 array of the `ATTRS` values, one row per user or item."""
+    return _frozen(np.array(
+        [[getattr(e, a) for a in ATTRS] for e in entities], dtype=np.int64
+    ).reshape(len(entities), len(ATTRS)))
+
+
+class ItemClusterIndex:
+    """Pairs of items one user interacted with positively within
+    `CLUSTER_WINDOW_SECONDS` of each other.
+
+    The relation is symmetric and irreflexive; neighbors(i) never contains i.
+    """
+
+    def __init__(self, event_log) -> None:
+        neighbors: dict[int, set[int]] = {}
+        for user_id in event_log.by_user_interactions:
+            events = [
+                e for e in event_log.interactions_of(user_id) if e.kind in POSITIVE_KINDS
+            ]
+            lo = 0
+            for hi, ev in enumerate(events):
+                while ev.timestamp - events[lo].timestamp > CLUSTER_WINDOW_SECONDS:
+                    lo += 1
+                for other in events[lo:hi]:
+                    if other.item_id != ev.item_id:
+                        neighbors.setdefault(ev.item_id, set()).add(other.item_id)
+                        neighbors.setdefault(other.item_id, set()).add(ev.item_id)
+        self._neighbors = {i: frozenset(s) for i, s in neighbors.items()}
+
+    def neighbors(self, item_id: int) -> frozenset[int]:
+        return self._neighbors.get(item_id, frozenset())
+
+
+class DatasetIndex:
+    """Item rows, tokens, attributes and popularity of one dataset variant.
+
+    Item arrays have one row per item in ascending id order (`item_ids`,
+    `row_of`); `tokens[f]` is the item x token indicator of field f of
+    `TOKEN_FIELDS` over `vocab`. `now` and `now_week` are the variant's
+    latest interaction timestamp and impression week.
+    """
+
+    def __init__(self, dataset: Dataset) -> None:
+        self._users = dataset.users
+        self._items = dataset.items
+        self._events = events = dataset.events
+        self.now = events.max_timestamp
+        self.now_week = events.max_impression_week
+
+        ids = sorted(dataset.items)
+        items = [dataset.items[i] for i in ids]
+        self.item_ids = _frozen(np.array(ids, dtype=np.int64))
+        self.row_of: Mapping[int, int] = MappingProxyType({i: r for r, i in enumerate(ids)})
+        vocab = shared_token_vocab(items)
+        self.vocab: Mapping[int, int] = MappingProxyType(vocab)
+        self.tokens = _frozen(np.stack([
+            indicator_matrix([getattr(it, field) for it in items], vocab)
+            for field in TOKEN_FIELDS
+        ]))
+        self.active_rows = _frozen(np.flatnonzero([it.active_during_test for it in items]))
+        self.active_ids = _frozen(self.item_ids[self.active_rows])
+        self.active_set = frozenset(self.active_ids.tolist())
+
+        self.attrs = _attr_array(items)
+        self.lat = _frozen([np.nan if it.latitude is None else it.latitude for it in items])
+        self.lon = _frozen([np.nan if it.longitude is None else it.longitude for it in items])
+
+        row_of = self.row_of
+        known = [(row_of[e.item_id], e.kind, e.timestamp)
+                 for e in events.interactions if e.item_id in row_of]
+        table = _frozen(np.array(known, dtype=np.int64).reshape(len(known), 3))
+        self._ev_rows, self._ev_kinds, self._ev_ts = table.T
+        self._ev_positive = _frozen(np.isin(self._ev_kinds, list(POSITIVE_KINDS)))
+        self.positive_counts = _frozen(self.count_interactions(self._ev_positive))
+        # active items with a positive event, by (count desc, id asc)
+        counts = self.positive_counts[self.active_rows]
+        scored = np.flatnonzero(counts)
+        order = np.argsort(-counts[scored], kind="stable")
+        self.popular = _frozen(self.active_ids[scored[order]])
+
+    def count_interactions(self, mask: np.ndarray) -> np.ndarray:
+        """Per-item-row count of the interactions `mask` selects."""
+        return np.bincount(self._ev_rows[mask], minlength=len(self.item_ids))
+
+    # ------------------------------------------------- features only, lazy
+
+    @cached_property
+    def user_row(self) -> Mapping[int, int]:
+        return MappingProxyType({u: r for r, u in enumerate(sorted(self._users))})
+
+    @cached_property
+    def user_attrs(self) -> np.ndarray:
+        return _attr_array([self._users[u] for u in self.user_row])
+
+    @cached_property
+    def jobroles(self) -> tuple[Mapping[int, int], np.ndarray]:
+        """(role -> column, user x role indicator in `user_row` order)."""
+        sets = [self._users[u].jobroles for u in self.user_row]
+        vocab = {t: c for c, t in enumerate(sorted(set().union(*sets)))}
+        return MappingProxyType(vocab), _frozen(indicator_matrix(sets, vocab))
+
+    @cached_property
+    def item_users(self) -> Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(item x user indicator, item degrees, user degrees) per source:
+        "int" for positive interactions, "imp" for impressions."""
+        ev, ids, out = self._events, self.item_ids.tolist(), {}
+        for src, users_of in (("int", ev.int_users), ("imp", ev.imp_users)):
+            m = _frozen(indicator_matrix([users_of(i) for i in ids], self.user_row))
+            out[src] = (m, *(_frozen(m.sum(axis=a, dtype=np.int64)) for a in (1, 0)))
+        return MappingProxyType(out)
+
+    @cached_property
+    def cluster(self) -> ItemClusterIndex:
+        return ItemClusterIndex(self._events)
+
+    @cached_property
+    def item_block(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """Popularity and property feature columns: (names, items x names float64)."""
+        columns = {**self._popularity(), **self._properties()}
+        return tuple(columns), _frozen(np.column_stack(list(columns.values())))
+
+    def _popularity(self) -> dict[str, np.ndarray]:
+        """Per-item event counts and +1-smoothed trend ratios, by column name."""
+        kinds, ts, positive = self._ev_kinds, self._ev_ts, self._ev_positive
+        count = self.count_interactions
+        pop = {"pop_int_total": self.positive_counts}
+        for kind in InteractionKind:
+            pop[f"pop_{kind.name.lower()}"] = count(kinds == kind)
+        row_of = self.row_of
+        imp_rows = [row_of[im.item_id] for im in self._events.impressions if im.item_id in row_of]
+        pop["pop_imp_total"] = np.bincount(np.array(imp_rows, dtype=np.int64),
+                                           minlength=len(self.item_ids))
+        week_lo = self.now - 7 * DAY_SECONDS
+        last_week = count(positive & (ts > week_lo))
+        prev_week = count(positive & (ts > week_lo - 7 * DAY_SECONDS) & (ts <= week_lo))
+        pop["pop_trend_week"] = (last_week + 1.0) / (prev_week + 1.0)
+        day = ts // DAY_SECONDS
+        now_day = self.now // DAY_SECONDS
+        for bucket in range(7):
+            # the latest calendar day in this day-of-week bucket against the
+            # same weekday one week earlier
+            d1 = now_day - ((now_day - bucket) % 7)
+            c1 = count(positive & (day == d1))
+            c0 = count(positive & (day == d1 - 7))
+            pop[f"pop_trend_day{bucket}"] = (c1 + 1.0) / (c0 + 1.0)
+        return pop
+
+    def _properties(self) -> dict[str, np.ndarray]:
+        """Raw item properties with their sentinels, by column name."""
+        items = [self._items[i] for i in self.item_ids.tolist()]
+        props = {
+            "prop_created_at": [
+                SENTINEL if it.created_at is None else float(it.created_at) for it in items
+            ],
+            "prop_latitude": np.where(np.isnan(self.lat), GEO_SENTINEL, self.lat),
+            "prop_longitude": np.where(np.isnan(self.lon), GEO_SENTINEL, self.lon),
+        }
+        for k, a in enumerate(ATTRS):
+            props[f"prop_{a}"] = self.attrs[:, k]
+        props["prop_employment"] = [it.employment for it in items]
+        return {name: np.asarray(v, dtype=np.float64) for name, v in props.items()}

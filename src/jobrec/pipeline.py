@@ -196,21 +196,16 @@ def baseline_recency(
     """
     ev = dataset.events
     users = dataset.target_users if target_users is None else list(target_users)
-    items = dataset.items
+    active = dataset.index.active_set
     out: list[Prediction] = []
     for u in users:
         del_u = ev.del_items(u)
-
-        def admissible(i: int) -> bool:
-            it = items.get(i)
-            return it is not None and it.active_during_test and i not in del_u
-
         last_ts: dict[int, int] = {}
         for e in ev.interactions_of(u):
             if e.kind in POSITIVE_KINDS:
                 last_ts[e.item_id] = e.timestamp
         ranked = sorted(
-            (i for i in last_ts if admissible(i)), key=lambda i: (-last_ts[i], i)
+            (i for i in last_ts if i in active and i not in del_u), key=lambda i: (-last_ts[i], i)
         )[:limit]
         if len(ranked) < limit:
             chosen = set(ranked)
@@ -221,7 +216,7 @@ def baseline_recency(
                     latest[im.item_id] = im.week
                 count[im.item_id] = count.get(im.item_id, 0) + 1
             pad = sorted(
-                (i for i in latest if admissible(i) and i not in chosen),
+                (i for i in latest if i in active and i not in del_u and i not in chosen),
                 key=lambda i: (-latest[i], -count[i], i),
             )
             ranked = ranked + pad[: limit - len(ranked)]
@@ -235,12 +230,7 @@ def baseline_popular(
     """Top active items by positive-interaction count, minus user deletes."""
     ev = dataset.events
     users = dataset.target_users if target_users is None else list(target_users)
-    counts: dict[int, int] = {}
-    for e in ev.interactions:
-        if e.kind in POSITIVE_KINDS:
-            counts[e.item_id] = counts.get(e.item_id, 0) + 1
-    active = {i for i, it in dataset.items.items() if it.active_during_test}
-    ranked_all = sorted((i for i in counts if i in active), key=lambda i: (-counts[i], i))
+    ranked_all = dataset.index.popular.tolist()
     out: list[Prediction] = []
     for u in users:
         del_u = ev.del_items(u)

@@ -22,15 +22,6 @@ class Neighbor:
     score: float
 
 
-def jaccard(a: Iterable[int] | frozenset[int], b: Iterable[int] | frozenset[int]) -> float:
-    """|a & b| / |a | b| with the empty/empty case defined as 0."""
-    sa = a if isinstance(a, (set, frozenset)) else set(a)
-    sb = b if isinstance(b, (set, frozenset)) else set(b)
-    inter = len(sa & sb)
-    union = len(sa) + len(sb) - inter
-    return inter / union if union else 0.0
-
-
 class SparseSetIndex:
     """Forward sets plus a (tokens x entities) uint8 indicator over them.
 
@@ -51,9 +42,6 @@ class SparseSetIndex:
     def __len__(self) -> int:
         return len(self.forward)
 
-    def tokens_of(self, entity_id: int) -> frozenset[int]:
-        return self.forward.get(entity_id, frozenset())
-
     def _intersections(self, query: Iterable[int]) -> np.ndarray:
         rows = [self._row_of[t] for t in query if t in self._row_of]
         return self._members[rows].sum(axis=0, dtype=np.int64)
@@ -62,12 +50,6 @@ class SparseSetIndex:
         cols = np.flatnonzero(scores)
         order = cols[np.lexsort((self._ids[cols], -scores[cols]))[:k]]
         return [Neighbor(int(e), float(s)) for e, s in zip(self._ids[order], scores[order])]
-
-    def overlap_scores(self, query_tokens: Iterable[int]) -> dict[int, int]:
-        """Exact |query & tokens(e)| for every entity with a nonzero overlap."""
-        inter = self._intersections(frozenset(query_tokens))
-        cols = np.flatnonzero(inter)
-        return dict(zip(self._ids[cols].tolist(), inter[cols].tolist()))
 
     def top_k_overlap(self, query_tokens: Iterable[int], k: int) -> list[Neighbor]:
         if k < 0:
@@ -103,35 +85,9 @@ class SparseSetIndex:
         return self._ranked(inter / (len(qset) + self._sizes - inter), k)
 
 
-def shared_token_vocab(items: Mapping[int, object], ids: Iterable[int]) -> dict[int, int]:
-    """Token -> dense column map over the union of item tags and title terms."""
-    vocab: dict[int, int] = {}
-    for iid in ids:
-        it = items[iid]
-        for tok in sorted(it.tags | it.title):
-            if tok not in vocab:
-                vocab[tok] = len(vocab)
-    return vocab
-
-
 def indicator_matrix(sets: Sequence[Iterable[int]], col_of: Mapping[int, int]) -> np.ndarray:
     """Dense 0/1 uint8 matrix with one row per set and one column per id of `col_of`."""
     out = np.zeros((len(sets), len(col_of)), dtype=np.uint8)
     rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
     out[rows, [col_of[m] for s in sets for m in s]] = 1
     return out
-
-
-def user_interaction_index(event_log) -> SparseSetIndex:
-    """user -> set of positively interacted items."""
-    return SparseSetIndex(
-        {u: event_log.int_items(u) for u in event_log.by_user_interactions if event_log.int_items(u)}
-    )
-
-
-def user_impression_index(event_log) -> SparseSetIndex:
-    """user -> set of shown items."""
-    return SparseSetIndex(
-        {u: event_log.imp_items(u) for u in event_log.by_user_impressions}
-    )
-

@@ -312,9 +312,9 @@ class _BlockOracle:
         self.events = extractor.events
         self.candidates = extractor.candidates
         self.schema = extractor.schema
-        self.cluster = extractor.cluster
-        self.now = extractor.now
-        self.now_week = extractor.now_week
+        self.cluster = extractor.index.cluster
+        self.now = extractor.index.now
+        self.now_week = extractor.index.now_week
 
         dataset = self.dataset
         items = dataset.items
@@ -772,9 +772,9 @@ def block_oracle(extractor, user_id, items):
     return oracle.block(user_id, items)
 
 
-def build_matrix_oracle(dataset, candidates, rows=None, ground_truth=None, cluster_index=None):
+def build_matrix_oracle(dataset, candidates, rows=None, ground_truth=None):
     """build_matrix with every block from block_oracle, stacked by np.vstack."""
-    extractor = FeatureExtractor(dataset, candidates, cluster_index)
+    extractor = FeatureExtractor(dataset, candidates)
     if rows is None:
         per_user: list[tuple[int, list[int]]] = [
             (u, cl.items()) for u, cl in candidates.items()

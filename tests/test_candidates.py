@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from jobrec.candidates import (
     CandidateGenerator,
     GeneratorId,
+    SLOT_COLUMNS,
     SLOT_NAMES,
     coverage,
     load_candidates,
     save_candidates,
-    slots_for,
 )
 from jobrec.entities import WEEK_SECONDS
 
@@ -313,7 +313,8 @@ class TestMerge:
 
     def test_slot_count_and_bound(self):
         assert len(SLOT_NAMES) == 15
-        assert slots_for(GeneratorId.CONTENT_KNN_INTERACTIONS) == [
+        knn = GeneratorId.CONTENT_KNN_INTERACTIONS
+        assert [col for gen, col in SLOT_COLUMNS if gen == knn] == [
             "content_int_tags_tags",
             "content_int_title_title",
             "content_int_tags_title",

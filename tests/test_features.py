@@ -14,10 +14,10 @@ from jobrec.features import (
     SENTINEL,
     FeatureExtractor,
     FeatureMatrix,
-    ItemClusterIndex,
     build_matrix,
     build_schema,
 )
+from jobrec.index import ItemClusterIndex
 from jobrec.pipeline import build_training_file
 from jobrec.split import build_ground_truth, temporal_split
 from jobrec.synth import SynthConfig, generate
@@ -33,8 +33,8 @@ def cand_list(u, items, slot="global_popular"):
     return cl
 
 
-def one_block(ds, u, items, cluster=None):
-    ext = FeatureExtractor(ds, {u: cand_list(u, items)}, cluster)
+def one_block(ds, u, items):
+    ext = FeatureExtractor(ds, {u: cand_list(u, items)})
     return ext.block(u, items), ext.schema
 
 
@@ -611,7 +611,7 @@ class TestItemCluster:
         assert 102 in idx.neighbors(101)
         assert 101 in idx.neighbors(102)
         # user 2 clicked only 101, so the cluster feature fires on 102
-        block, schema = one_block(ds, 2, [102], cluster=idx)
+        block, schema = one_block(ds, 2, [102])
         assert val(block, schema, 0, "cluster_hit") == 1.0
 
     def test_outside_window_not_clustered(self):

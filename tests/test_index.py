@@ -1,0 +1,86 @@
+"""The per-variant DatasetIndex: shared by every stage, read-only, lazy."""
+
+import numpy as np
+import pytest
+
+from jobrec.candidates import CandidateGenerator
+from jobrec.features import FeatureExtractor
+from jobrec.index import DatasetIndex
+from jobrec.split import build_ground_truth, temporal_split
+from jobrec.synth import SynthConfig, generate
+
+from conftest import ev, make_dataset, make_item, make_user
+
+# built on first use; candidate generation must not need them
+_FEATURE_PARTS = ("user_row", "user_attrs", "jobroles", "item_users", "cluster", "item_block")
+
+
+@pytest.fixture(scope="module")
+def variant():
+    ds = generate(SynthConfig(users=40, items=60, weeks=4, seed=3))
+    train, holdout = temporal_split(ds, 1)
+    truth = build_ground_truth(holdout, ds.target_users)
+    lists = CandidateGenerator(train).generate_all(sorted(truth))
+    return ds, train, lists
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays(v)
+    elif hasattr(value, "values") and hasattr(value, "keys"):
+        for v in value.values():
+            yield from _arrays(v)
+
+
+class TestShared:
+    def test_one_index_per_variant(self, variant):
+        _, train, lists = variant
+        assert isinstance(train.index, DatasetIndex)
+        assert CandidateGenerator(train).index is train.index
+        assert FeatureExtractor(train, lists).index is train.index
+
+    def test_each_split_variant_has_its_own(self, variant):
+        ds, train, _ = variant
+        inner, _ = temporal_split(train, 1)
+        assert len({id(ds.index), id(train.index), id(inner.index)}) == 3
+        assert inner.index.now < train.index.now < ds.index.now
+        assert inner.index.positive_counts.sum() < train.index.positive_counts.sum()
+
+
+class TestReadOnly:
+    def test_every_array_rejects_writes(self, variant):
+        _, train, lists = variant
+        ext = FeatureExtractor(train, lists)
+        u = next(iter(lists))
+        ext.block(u, lists[u].items())
+        index = train.index
+        for name in _FEATURE_PARTS:
+            getattr(index, name)
+        arrays = [a for v in vars(index).values() for a in _arrays(v)]
+        assert len(arrays) >= 20
+        for a in arrays:
+            assert a.flags.writeable is False
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_maps_reject_writes(self, variant):
+        index = variant[1].index
+        for mapping in (index.row_of, index.vocab, index.user_row, index.item_users):
+            with pytest.raises(TypeError):
+                mapping[next(iter(mapping))] = 0
+
+
+class TestLazy:
+    def test_candidates_tolerate_unknown_items_and_skip_feature_parts(self):
+        # item 999 is referenced by events but missing from the item table
+        rows = [ev(1, 101, ts=1), ev(2, 999, ts=2), ev(2, 999, ts=3), ev(1, 102, ts=4)]
+        ds = make_dataset([make_user(1), make_user(2)],
+                          [make_item(101), make_item(102, active=False)], rows)
+        gen = CandidateGenerator(ds)
+        assert gen.gen_popular() == [101]
+        assert gen.generate(2).items() == [101]
+        assert ds.index.positive_counts.tolist() == [1, 1]
+        assert not set(_FEATURE_PARTS) & set(vars(ds.index))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobrec.candidates import CandidateList
 from jobrec.features import build_schema, FeatureMatrix
@@ -20,7 +21,8 @@ from jobrec.pipeline import (
     stable_hash,
 )
 
-from conftest import ev, imp, make_dataset, make_item, make_user
+import oracles
+from conftest import KIND, ev, imp, make_dataset, make_item, make_user
 
 
 def cand_list(u, items):
@@ -309,6 +311,31 @@ class TestBaselinePopular:
         preds = {p.user_id: p.items for p in baseline_popular(ds, [1, 2])}
         assert preds[1] == [101, 102, 103]
         assert preds[2] == [101, 102]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_datasets_match_oracle(self, data):
+        """Few events over few items give ties in counts; items past the
+        event pool never occur; item 999 is not in the item table; user 9
+        has no events and is not in the user table."""
+        n_users, n_items = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+        items = [
+            make_item(i, active=data.draw(st.sampled_from([True, True, False])))
+            for i in range(100, 100 + n_items)
+        ]
+        pool = st.integers(100, 100 + min(n_items, 5) - 1) | st.just(999)
+        rows = data.draw(st.lists(
+            st.builds(ev, st.integers(1, n_users), pool, st.sampled_from(sorted(KIND)),
+                      st.integers(0, 10**6)),
+            max_size=20,
+        ))
+        ds = make_dataset([make_user(u) for u in range(1, n_users + 1)], items, rows)
+        limit = data.draw(st.sampled_from([30, 2, 1]))
+        users = list(range(1, n_users + 1)) + [9]
+        ranked = oracles.popular_oracle(ds, len(items))
+        for p in baseline_popular(ds, users, limit):
+            deleted = ds.events.del_items(p.user_id)
+            assert p.items == [i for i in ranked if i not in deleted][:limit]
 
 
 class TestPredictionIO:

@@ -6,7 +6,6 @@ import pytest
 from jobrec.similarity import (
     Neighbor,
     SparseSetIndex,
-    jaccard,
     indicator_matrix,
 )
 
@@ -45,23 +44,6 @@ def brute_overlap_topk(forward, query, k):
 
 
 # ---------------------------------------------------------------------------
-
-
-class TestJaccard:
-    def test_identity(self):
-        assert jaccard({1, 2, 5}, {1, 2, 5}) == 1.0
-
-    def test_disjoint(self):
-        assert jaccard({1, 2}, {3, 4}) == 0.0
-
-    def test_one_third(self):
-        assert jaccard({1, 2}, {2, 3}) == pytest.approx(1 / 3)
-
-    def test_empty_empty(self):
-        assert jaccard(set(), set()) == 0.0
-
-    def test_accepts_iterables(self):
-        assert jaccard([1, 2, 2], (2, 3)) == pytest.approx(1 / 3)
 
 
 class TestEntityQueries:
