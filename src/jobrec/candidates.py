@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .dataio import DataFormatError, _read_table, _write_tsv
-from .entities import Dataset, POSITIVE_KINDS, WEEK_SECONDS
+from .entities import Dataset
 from .index import TOKEN_FIELDS
 from .similarity import SparseSetIndex
 
@@ -93,9 +93,10 @@ class CandidateList:
 class CandidateGenerator:
     """All nine generators over one dataset variant.
 
-    Item rows, token indicators and the popularity ranking come from the
-    variant's shared `Dataset.index`; the constructor adds the user
-    neighbour indexes. Only the per-user recency cache changes afterwards.
+    Item rows, token indicators and the popularity and recency rankings
+    come from the variant's shared `Dataset.index`; the constructor adds
+    the user neighbour indexes. Only the per-user recency cache changes
+    afterwards.
     """
 
     def __init__(
@@ -115,7 +116,6 @@ class CandidateGenerator:
         self.neighbor_count = neighbor_count
 
         self.active_ids = index.active_ids
-        self._active_set = index.active_set
 
         self._int_index = SparseSetIndex(
             {u: s for u in ev.by_user_interactions if (s := ev.int_items(u))}
@@ -162,37 +162,11 @@ class CandidateGenerator:
     # ------------------------------------------------------------ generators
 
     def recent_items(self, user_id: int, source: str) -> list[int]:
-        """Active items of the user's log, most recent week first.
-
-        Ordered by (latest event week desc, event count desc, item id asc);
-        uncapped, shared by the recency generators and neighbor expansion.
-        """
+        """`DatasetIndex.recent_items`, memoized for neighbour expansion."""
         key = (user_id, source)
-        cached = self._recent_cache.get(key)
-        if cached is not None:
-            return cached
-        latest: dict[int, int] = {}
-        count: dict[int, int] = {}
-        if source == "interactions":
-            for ev in self.events.interactions_of(user_id):
-                if ev.kind not in POSITIVE_KINDS:
-                    continue
-                week = ev.timestamp // WEEK_SECONDS
-                if week > latest.get(ev.item_id, -1):
-                    latest[ev.item_id] = week
-                count[ev.item_id] = count.get(ev.item_id, 0) + 1
-        elif source == "impressions":
-            for im in self.events.impressions_of(user_id):
-                if im.week > latest.get(im.item_id, -1):
-                    latest[im.item_id] = im.week
-                count[im.item_id] = count.get(im.item_id, 0) + 1
-        else:
-            raise ValueError(f"unknown event source {source!r}")
-        ranked = sorted(
-            (i for i in latest if i in self._active_set),
-            key=lambda i: (-latest[i], -count[i], i),
-        )
-        self._recent_cache[key] = ranked
+        ranked = self._recent_cache.get(key)
+        if ranked is None:
+            ranked = self._recent_cache[key] = self.index.recent_items(user_id, source)
         return ranked
 
     def gen_recent_interactions(self, user_id: int) -> list[int]:

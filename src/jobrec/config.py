@@ -1,7 +1,7 @@
 """Pipeline configuration, config-file parsing and provenance stamps.
 
 Artifacts carry '# key=value' header lines recording the producing stage,
-a hash of the semantic configuration knobs and the seed. The evaluate
+a hash of every configuration field and the seed. The evaluate
 command compares these hashes to catch mixed-provenance inputs.
 """
 
@@ -13,24 +13,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .gbdt import TrainConfig
-
-# knobs that change results and therefore feed the provenance hash;
-# paths and verbosity intentionally excluded
-_HASHED_FIELDS = (
-    "seed",
-    "holdout_weeks",
-    "candidate_cap",
-    "neighbor_count",
-    "sampling_mode",
-    "recall_mode",
-    "max_depth",
-    "min_child_weight",
-    "eta",
-    "gamma",
-    "num_round",
-    "reg_lambda",
-    "early_stopping_rounds",
-)
 
 
 @dataclass
@@ -61,8 +43,8 @@ class PipelineConfig:
         )
 
     def config_hash(self) -> str:
-        payload = {name: getattr(self, name) for name in _HASHED_FIELDS}
-        blob = json.dumps(payload, sort_keys=True).encode()
+        """Hash of every field: each one changes results."""
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def provenance(self, stage: str) -> dict[str, object]:

@@ -66,7 +66,7 @@ ITEM_COLUMNS = [
 INTERACTION_COLUMNS = ["user_id", "item_id", "interaction_type", "created_at"]
 IMPRESSION_COLUMNS = ["user_id", "year", "week", "items"]
 
-DEFAULT_KIND_CODES: dict[int, InteractionKind] = {
+KIND_CODES: dict[int, InteractionKind] = {
     1: InteractionKind.CLICK,
     2: InteractionKind.BOOKMARK,
     3: InteractionKind.REPLY,
@@ -222,15 +222,12 @@ def load_items(path: str | Path) -> dict[int, Item]:
     return items
 
 
-def load_interactions(
-    path: str | Path,
-    kind_codes: Mapping[int, InteractionKind] = DEFAULT_KIND_CODES,
-) -> list[Interaction]:
+def load_interactions(path: str | Path) -> list[Interaction]:
     path = Path(path)
     out: list[Interaction] = []
     for lineno, cols, f in _read_table(path, INTERACTION_COLUMNS):
         code = _int_field(path, lineno, f[cols["interaction_type"]], "interaction_type")
-        kind = kind_codes.get(code)
+        kind = KIND_CODES.get(code)
         if kind is None:
             raise DataFormatError(f"{path}:{lineno}: unknown interaction_type code {code}")
         out.append(
@@ -281,11 +278,7 @@ def load_target_users(path: str | Path) -> list[int]:
     return out
 
 
-def load_dataset(
-    directory: str | Path,
-    on_unknown_ref: str = "drop",
-    kind_codes: Mapping[int, InteractionKind] = DEFAULT_KIND_CODES,
-) -> Dataset:
+def load_dataset(directory: str | Path, on_unknown_ref: str = "drop") -> Dataset:
     """Load the five challenge tables from a directory.
 
     on_unknown_ref: "drop" silently removes events referencing unknown
@@ -296,7 +289,7 @@ def load_dataset(
     directory = Path(directory)
     users = load_users(directory / USERS_FILE)
     items = load_items(directory / ITEMS_FILE)
-    interactions = load_interactions(directory / INTERACTIONS_FILE, kind_codes)
+    interactions = load_interactions(directory / INTERACTIONS_FILE)
     impressions = load_impressions(directory / IMPRESSIONS_FILE)
     targets = load_target_users(directory / TARGET_USERS_FILE)
 

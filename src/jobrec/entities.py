@@ -93,11 +93,12 @@ _EMPTY: frozenset[int] = frozenset()
 
 
 class EventLog:
-    """Interaction and impression logs plus per-user / per-item adjacency.
+    """Interaction and impression logs, grouped per user.
 
-    Per-user and per-item lists are sorted by time (stable, so ties keep
-    input order). Derived id sets (positive items of a user, users of an
-    item, ...) are precomputed once; lookups for unknown ids return empty.
+    Per-user lists are sorted by time (stable, so ties keep input order).
+    The per-user item sets (positive, deleted, shown) are precomputed
+    once; lookups for unknown users return empty. Everything per item is
+    derived by the variant's `DatasetIndex`.
     """
 
     def __init__(self, interactions, impressions) -> None:
@@ -105,23 +106,15 @@ class EventLog:
         self.impressions: list[Impression] = list(impressions)
 
         self.by_user_interactions: dict[int, list[Interaction]] = {}
-        self.by_item_interactions: dict[int, list[Interaction]] = {}
         for ev in self.interactions:
             self.by_user_interactions.setdefault(ev.user_id, []).append(ev)
-            self.by_item_interactions.setdefault(ev.item_id, []).append(ev)
         for lst in self.by_user_interactions.values():
-            lst.sort(key=lambda e: e.timestamp)
-        for lst in self.by_item_interactions.values():
             lst.sort(key=lambda e: e.timestamp)
 
         self.by_user_impressions: dict[int, list[Impression]] = {}
-        self.by_item_impressions: dict[int, list[Impression]] = {}
         for im in self.impressions:
             self.by_user_impressions.setdefault(im.user_id, []).append(im)
-            self.by_item_impressions.setdefault(im.item_id, []).append(im)
         for lst in self.by_user_impressions.values():
-            lst.sort(key=lambda e: e.week)
-        for lst in self.by_item_impressions.values():
             lst.sort(key=lambda e: e.week)
 
         self.max_timestamp: int = max((e.timestamp for e in self.interactions), default=0)
@@ -140,15 +133,6 @@ class EventLog:
             u: frozenset(im.item_id for im in lst)
             for u, lst in self.by_user_impressions.items()
         }
-        self._int_users: dict[int, frozenset[int]] = {}
-        for i, evs in self.by_item_interactions.items():
-            pos = frozenset(e.user_id for e in evs if e.kind in POSITIVE_KINDS)
-            if pos:
-                self._int_users[i] = pos
-        self._imp_users: dict[int, frozenset[int]] = {
-            i: frozenset(im.user_id for im in lst)
-            for i, lst in self.by_item_impressions.items()
-        }
 
     def interactions_of(self, user_id: int) -> list[Interaction]:
         return self.by_user_interactions.get(user_id, [])
@@ -165,13 +149,6 @@ class EventLog:
 
     def imp_items(self, user_id: int) -> frozenset[int]:
         return self._imp_items.get(user_id, _EMPTY)
-
-    def int_users(self, item_id: int) -> frozenset[int]:
-        """Users who interacted positively with the item."""
-        return self._int_users.get(item_id, _EMPTY)
-
-    def imp_users(self, item_id: int) -> frozenset[int]:
-        return self._imp_users.get(item_id, _EMPTY)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """One read-only index per dataset variant, shared by every stage.
 
 Candidates, features and the baselines read a dataset variant through
-`Dataset.index`, so item row order, the tags/title vocabulary and the
-popularity ranking are decided here only. Arrays and maps are read-only:
-a stray in-place write raises instead of corrupting another consumer.
+`Dataset.index`, so item row order, the tags/title vocabulary, the
+popularity ranking and the per-user recency ranking are decided here
+only. Arrays and maps are read-only: a stray in-place write raises
+instead of corrupting another consumer.
 The parts only features read are built on first use. Events on items
 missing from the item table are left out of every count.
 """
@@ -16,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .entities import DAY_SECONDS, Dataset, InteractionKind, POSITIVE_KINDS
+from .entities import DAY_SECONDS, WEEK_SECONDS, Dataset, InteractionKind, POSITIVE_KINDS
 from .similarity import indicator_matrix
 
 SENTINEL = -1.0
@@ -83,7 +84,8 @@ class DatasetIndex:
     Item arrays have one row per item in ascending id order (`item_ids`,
     `row_of`); `tokens[f]` is the item x token indicator of field f of
     `TOKEN_FIELDS` over `vocab`. `now` and `now_week` are the variant's
-    latest interaction timestamp and impression week.
+    latest interaction timestamp and impression week. Per-item event
+    structures are derived here from the `EventLog`'s per-user logs.
     """
 
     def __init__(self, dataset: Dataset) -> None:
@@ -128,6 +130,35 @@ class DatasetIndex:
         """Per-item-row count of the interactions `mask` selects."""
         return np.bincount(self._ev_rows[mask], minlength=len(self.item_ids))
 
+    def recent_items(self, user_id: int, source: str) -> list[int]:
+        """Active items of the user's log, most recent week first.
+
+        Ordered by (latest event week desc, event count desc, item id asc);
+        uncapped, shared by the recency generators, neighbour expansion and
+        the recency baseline. A new list on every call: nothing is memoized.
+        """
+        latest: dict[int, int] = {}
+        count: dict[int, int] = {}
+        if source == "interactions":
+            for ev in self._events.interactions_of(user_id):
+                if ev.kind not in POSITIVE_KINDS:
+                    continue
+                week = ev.timestamp // WEEK_SECONDS
+                if week > latest.get(ev.item_id, -1):
+                    latest[ev.item_id] = week
+                count[ev.item_id] = count.get(ev.item_id, 0) + 1
+        elif source == "impressions":
+            for im in self._events.impressions_of(user_id):
+                if im.week > latest.get(im.item_id, -1):
+                    latest[im.item_id] = im.week
+                count[im.item_id] = count.get(im.item_id, 0) + 1
+        else:
+            raise ValueError(f"unknown event source {source!r}")
+        return sorted(
+            (i for i in latest if i in self.active_set),
+            key=lambda i: (-latest[i], -count[i], i),
+        )
+
     # ------------------------------------------------- features only, lazy
 
     @cached_property
@@ -148,10 +179,21 @@ class DatasetIndex:
     @cached_property
     def item_users(self) -> Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(item x user indicator, item degrees, user degrees) per source:
-        "int" for positive interactions, "imp" for impressions."""
-        ev, ids, out = self._events, self.item_ids.tolist(), {}
-        for src, users_of in (("int", ev.int_users), ("imp", ev.imp_users)):
-            m = _frozen(indicator_matrix([users_of(i) for i in ids], self.user_row))
+        "int" for positive interactions, "imp" for impressions.
+
+        Built from the per-user item sets, so events on unknown items stay
+        out. A user missing from the user table with a positive interaction
+        or an impression on a known item raises `ValueError`.
+        """
+        ev, row_of, user_row, out = self._events, self.row_of, self.user_row, {}
+        for src, logs, items_of in (("int", ev.by_user_interactions, ev.int_items),
+                                    ("imp", ev.by_user_impressions, ev.imp_items)):
+            for u in logs:
+                if u not in user_row and any(i in row_of for i in items_of(u)):
+                    raise ValueError(f"user {u} has events on known items "
+                                     "but is not in the user table")
+            sets = [[i for i in items_of(u) if i in row_of] for u in user_row]
+            m = _frozen(np.ascontiguousarray(indicator_matrix(sets, row_of).T))
             out[src] = (m, *(_frozen(m.sum(axis=a, dtype=np.int64)) for a in (1, 0)))
         return MappingProxyType(out)
 

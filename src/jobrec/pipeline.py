@@ -13,10 +13,9 @@ import numpy as np
 from .candidates import CandidateList
 from .dataio import DataFormatError, _write_tsv, format_provenance
 from .entities import Dataset, GroundTruth, POSITIVE_KINDS
+from .evaluation import MAX_ITEMS
 from .features import FeatureMatrix
 from .gbdt import GbdtModel
-
-PREDICTION_LIMIT = 30
 
 
 def stable_hash(seed: int, value: int) -> int:
@@ -108,11 +107,10 @@ def rank_and_select(
     matrix: FeatureMatrix,
     probs: np.ndarray,
     deletes: Mapping[int, frozenset[int]] | None = None,
-    limit: int = PREDICTION_LIMIT,
 ) -> list[Prediction]:
     """Per user: drop deleted items, order by probability desc (ties by
-    ascending item id), truncate. Users keep matrix row order; each
-    user's rows must be contiguous."""
+    ascending item id), keep the first `MAX_ITEMS`. Users keep matrix row
+    order; each user's rows must be contiguous."""
     if len(probs) != len(matrix):
         raise ValueError("probability vector length does not match matrix rows")
     out: list[Prediction] = []
@@ -133,7 +131,7 @@ def rank_and_select(
         keep = np.array([it not in del_u for it in items], dtype=bool)
         items = items[keep]
         p = p[keep]
-        order = np.lexsort((items, -p))[:limit]
+        order = np.lexsort((items, -p))[:MAX_ITEMS]
         out.append(
             Prediction(
                 user_id=u,
@@ -148,10 +146,9 @@ def score_and_select(
     model: GbdtModel,
     matrix: FeatureMatrix,
     deletes: Mapping[int, frozenset[int]] | None = None,
-    limit: int = PREDICTION_LIMIT,
 ) -> list[Prediction]:
     probs = model.predict_proba(matrix.values, feature_names=matrix.schema.names)
-    return rank_and_select(matrix, probs, deletes, limit)
+    return rank_and_select(matrix, probs, deletes)
 
 
 def blend_probabilities(models: Sequence[GbdtModel], matrix: FeatureMatrix) -> np.ndarray:
@@ -177,26 +174,26 @@ def blend(
     models: Sequence[GbdtModel],
     matrix: FeatureMatrix,
     deletes: Mapping[int, frozenset[int]] | None = None,
-    limit: int = PREDICTION_LIMIT,
 ) -> list[Prediction]:
-    return rank_and_select(matrix, blend_probabilities(models, matrix), deletes, limit)
+    return rank_and_select(matrix, blend_probabilities(models, matrix), deletes)
 
 
 # ------------------------------------------------------------------ baselines
 
 
 def baseline_recency(
-    dataset: Dataset, target_users: Sequence[int] | None = None, limit: int = PREDICTION_LIMIT
+    dataset: Dataset, target_users: Sequence[int] | None = None, limit: int = MAX_ITEMS
 ) -> list[Prediction]:
     """Most recently interacted items first, padded with shown items.
 
     Deleted and inactive items are filtered from both parts before
     padding. Interactions order by last event timestamp desc then item
-    id; impressions by (latest week desc, count desc, id asc).
+    id; impressions by the index's recency ranking (latest week desc,
+    count desc, id asc).
     """
-    ev = dataset.events
+    ev, index = dataset.events, dataset.index
     users = dataset.target_users if target_users is None else list(target_users)
-    active = dataset.index.active_set
+    active = index.active_set
     out: list[Prediction] = []
     for u in users:
         del_u = ev.del_items(u)
@@ -209,23 +206,15 @@ def baseline_recency(
         )[:limit]
         if len(ranked) < limit:
             chosen = set(ranked)
-            latest: dict[int, int] = {}
-            count: dict[int, int] = {}
-            for im in ev.impressions_of(u):
-                if im.week > latest.get(im.item_id, -1):
-                    latest[im.item_id] = im.week
-                count[im.item_id] = count.get(im.item_id, 0) + 1
-            pad = sorted(
-                (i for i in latest if i in active and i not in del_u and i not in chosen),
-                key=lambda i: (-latest[i], -count[i], i),
-            )
+            pad = [i for i in index.recent_items(u, "impressions")
+                   if i not in del_u and i not in chosen]
             ranked = ranked + pad[: limit - len(ranked)]
         out.append(Prediction(user_id=u, items=ranked))
     return out
 
 
 def baseline_popular(
-    dataset: Dataset, target_users: Sequence[int] | None = None, limit: int = PREDICTION_LIMIT
+    dataset: Dataset, target_users: Sequence[int] | None = None, limit: int = MAX_ITEMS
 ) -> list[Prediction]:
     """Top active items by positive-interaction count, minus user deletes."""
     ev = dataset.events
@@ -250,8 +239,8 @@ def save_predictions(
 ) -> None:
     """Challenge submission format: user_id TAB space-separated item ids."""
     for p in predictions:
-        if len(p.items) > PREDICTION_LIMIT:
-            raise ValueError(f"user {p.user_id}: {len(p.items)} items exceeds {PREDICTION_LIMIT}")
+        if len(p.items) > MAX_ITEMS:
+            raise ValueError(f"user {p.user_id}: {len(p.items)} items exceeds {MAX_ITEMS}")
         if len(set(p.items)) != len(p.items):
             raise ValueError(f"user {p.user_id}: duplicate items in prediction")
     with open(path, "w", encoding="utf-8") as fh:

@@ -169,6 +169,31 @@ def popular_oracle(dataset, cap):
     return ranked[:cap]
 
 
+def recency_baseline_oracle(dataset, user_id, limit):
+    """Items of the user's positive events by last timestamp desc (id asc),
+    then shown items by (latest week desc, count desc, id asc); deleted and
+    inactive items never appear, nor does an item twice; at most `limit`."""
+    act = active_set(dataset)
+    deleted = {
+        e.item_id
+        for e in dataset.events.interactions
+        if e.user_id == user_id and e.kind == InteractionKind.DELETE
+    }
+    last = {}
+    for e in positive_events(dataset, user_id):
+        last[e.item_id] = max(last.get(e.item_id, e.timestamp), e.timestamp)
+    latest, count = {}, {}
+    for im in dataset.events.impressions:
+        if im.user_id == user_id:
+            latest[im.item_id] = max(latest.get(im.item_id, im.week), im.week)
+            count[im.item_id] = count.get(im.item_id, 0) + 1
+    clicked = sorted((i for i in last if i in act and i not in deleted),
+                     key=lambda i: (-last[i], i))
+    shown = sorted((i for i in latest if i in act and i not in deleted and i not in clicked),
+                   key=lambda i: (-latest[i], -count[i], i))
+    return (clicked + shown)[:limit]
+
+
 def all_slots_oracle(dataset, user_id, cap, neighbor_count):
     """Every slot's ranking, keyed and ordered as the library's slot columns."""
     slots = {
@@ -327,6 +352,13 @@ class _BlockOracle:
 
         self._user_ids = np.array(sorted(dataset.users), dtype=np.int64)
         self._user_row = {int(u): r for r, u in enumerate(self._user_ids)}
+        self._int_users: dict[int, set[int]] = {}
+        for e in self.events.interactions:
+            if e.kind in POSITIVE_KINDS:
+                self._int_users.setdefault(e.item_id, set()).add(e.user_id)
+        self._imp_users: dict[int, set[int]] = {}
+        for im in self.events.impressions:
+            self._imp_users.setdefault(im.item_id, set()).add(im.user_id)
         self._build_popularity()
         self._build_item_user_matrices()
         self._build_jobroles()
@@ -334,6 +366,13 @@ class _BlockOracle:
         self._item_attr_counts: dict[int, tuple[int, dict[str, dict[int, int]]]] = {}
 
     # -------------------------------------------------------- precomputation
+
+    def int_users(self, item_id: int) -> set[int]:
+        """Users who interacted positively with the item."""
+        return self._int_users.get(item_id, set())
+
+    def imp_users(self, item_id: int) -> set[int]:
+        return self._imp_users.get(item_id, set())
 
     def _build_popularity(self) -> None:
         n = len(self._item_ids)
@@ -394,8 +433,8 @@ class _BlockOracle:
     def _build_item_user_matrices(self) -> None:
         """item x user binary matrices for interactions and impressions."""
         universe = self._user_row
-        int_sets = [self.events.int_users(int(i)) for i in self._item_ids]
-        imp_sets = [self.events.imp_users(int(i)) for i in self._item_ids]
+        int_sets = [self.int_users(int(i)) for i in self._item_ids]
+        imp_sets = [self.imp_users(int(i)) for i in self._item_ids]
         self._item_int_users = set_csr(int_sets, universe)
         self._item_imp_users = set_csr(imp_sets, universe)
         self._item_int_deg = np.asarray(self._item_int_users.sum(axis=1)).ravel()
@@ -421,7 +460,7 @@ class _BlockOracle:
         got = self._item_attr_counts.get(item_id)
         if got is not None:
             return got
-        users = self.events.int_users(item_id)
+        users = self.int_users(item_id)
         counters: dict[str, dict[int, int]] = {a: {} for a in _ATTRS}
         for u in users:
             user = self.dataset.users.get(u)
@@ -491,7 +530,7 @@ class _BlockOracle:
         if mine:
             counts: dict[int, int] = {}
             for i in mine:
-                for v in self.events.int_users(i):
+                for v in self.int_users(i):
                     counts[v] = counts.get(v, 0) + 1
             for v, c in counts.items():
                 if v != user_id:
@@ -501,7 +540,7 @@ class _BlockOracle:
         if mine_imp:
             counts = {}
             for i in mine_imp:
-                for v in self.events.imp_users(i):
+                for v in self.imp_users(i):
                     counts[v] = counts.get(v, 0) + 1
             for v, c in counts.items():
                 if v != user_id:
@@ -661,7 +700,7 @@ class _BlockOracle:
         for r, i in enumerate(cand_ids):
             for kind in ("int", "imp"):
                 users = (
-                    self.events.int_users(i) if kind == "int" else self.events.imp_users(i)
+                    self.int_users(i) if kind == "int" else self.imp_users(i)
                 )
                 others = [v for v in users if v != user_id]
                 sims = state["sims_int"] if kind == "int" else state["sims_imp"]

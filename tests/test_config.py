@@ -73,6 +73,13 @@ class TestProvenance:
         assert base.config_hash() != PipelineConfig(seed=1).config_hash()
         assert base.config_hash() != PipelineConfig(eta=0.5).config_hash()
 
+    def test_hash_pinned(self):
+        # every field feeds the hash, so a new field shows up here as a
+        # provenance change
+        assert PipelineConfig().config_hash() == "70620bdb561a"
+        assert PipelineConfig(seed=1).config_hash() == "ef25b12978e4"
+        assert PipelineConfig(eta=0.5).config_hash() == "5223d14e0300"
+
     def test_provenance_dict(self):
         cfg = PipelineConfig(seed=3)
         prov = cfg.provenance("train")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jobrec.candidates import CandidateGenerator, CandidateList, SLOT_NAMES, save_candidates, load_candidates
 from jobrec.dataio import DataFormatError
-from jobrec.entities import DAY_SECONDS, WEEK_SECONDS
+from jobrec.entities import DAY_SECONDS, POSITIVE_KINDS, WEEK_SECONDS
 from jobrec.features import (
     GEO_SENTINEL,
     SENTINEL,
@@ -269,7 +269,8 @@ class TestCfSimilarity:
 
         mine = ds.events.int_items(1)
         for r, i in enumerate(target):
-            others = [v for v in ds.events.int_users(i) if v != 1]
+            others = {e.user_id for e in ds.interactions
+                      if e.item_id == i and e.kind in POSITIVE_KINDS and e.user_id != 1}
             want = max((jac(mine, ds.events.int_items(v)) for v in others), default=SENTINEL)
             assert val(block, schema, r, "cf_user_int") == pytest.approx(want)
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from jobrec.candidates import CandidateGenerator
-from jobrec.features import FeatureExtractor
+from jobrec.features import FeatureExtractor, build_matrix
 from jobrec.index import DatasetIndex
 from jobrec.split import build_ground_truth, temporal_split
 from jobrec.synth import SynthConfig, generate
 
-from conftest import ev, make_dataset, make_item, make_user
+from conftest import ev, imp, make_dataset, make_item, make_user
 
 # built on first use; candidate generation must not need them
 _FEATURE_PARTS = ("user_row", "user_attrs", "jobroles", "item_users", "cluster", "item_block")
@@ -84,3 +84,27 @@ class TestLazy:
         assert gen.generate(2).items() == [101]
         assert ds.index.positive_counts.tolist() == [1, 1]
         assert not set(_FEATURE_PARTS) & set(vars(ds.index))
+
+
+class TestUnknownUsers:
+    def test_features_name_a_user_missing_from_the_table(self):
+        # user 77 clicked known items but is not in the user table
+        rows = [ev(1, 101, ts=1), ev(77, 101, ts=2), ev(77, 102, ts=3)]
+        ds = make_dataset([make_user(1)], [make_item(101), make_item(102)], rows)
+        lists = CandidateGenerator(ds).generate_all([1])
+        assert set(lists[1].items()) == {101, 102}
+        with pytest.raises(ValueError, match="user 77 "):
+            build_matrix(ds, lists)
+
+    def test_impressions_of_a_missing_user_fail_too(self):
+        ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)],
+                          [imp(77, 101, 0)])
+        with pytest.raises(ValueError, match="user 77 "):
+            ds.index.item_users
+
+    def test_deletes_and_unknown_items_of_a_missing_user_pass(self):
+        rows = [ev(1, 101, ts=1), ev(77, 101, "delete", ts=2), ev(78, 999, ts=3)]
+        ds = make_dataset([make_user(1)], [make_item(101)], rows, [imp(79, 999, 0)])
+        matrix = build_matrix(ds, CandidateGenerator(ds).generate_all([1]))
+        assert matrix.item_ids.tolist() == [101]
+        assert ds.index.item_users["int"][0].tolist() == [[1]]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jobrec.candidates import CandidateList
+from jobrec.entities import WEEK_SECONDS
 from jobrec.features import build_schema, FeatureMatrix
 from jobrec.gbdt import TrainConfig, train
 from jobrec.pipeline import (
@@ -297,6 +298,34 @@ class TestBaselineRecency:
                           [ev(1, 101, ts=5)], targets=[2])
         preds = baseline_recency(ds)
         assert [p.user_id for p in preds] == [2]
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_datasets_match_oracle(self, data):
+        """Few timestamps and weeks give ties; clicks and impressions share
+        one item pool, so items are both clicked and shown; item 999 is not
+        in the item table; user 9 has events but is not in the user table."""
+        n_users, n_items = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+        items = [
+            make_item(i, active=data.draw(st.sampled_from([True, True, False])))
+            for i in range(100, 100 + n_items)
+        ]
+        pool = st.integers(100, 100 + n_items - 1) | st.just(999)
+        user = st.integers(1, n_users) | st.just(9)
+        rows = data.draw(st.lists(
+            st.builds(ev, user, pool, st.sampled_from(sorted(KIND)),
+                      st.sampled_from([0, 5, WEEK_SECONDS, 2 * WEEK_SECONDS + 1])),
+            max_size=20,
+        ))
+        shown = data.draw(st.lists(st.builds(imp, user, pool, st.integers(0, 3)), max_size=20))
+        ds = make_dataset([make_user(u) for u in range(1, n_users + 1)], items, rows, shown)
+        limit = data.draw(st.sampled_from([30, 2, 1]))
+        users = list(range(1, n_users + 1)) + [9]
+        preds = baseline_recency(ds, users, limit)
+        assert [p.user_id for p in preds] == users
+        for p in preds:
+            assert p.items == oracles.recency_baseline_oracle(ds, p.user_id, limit)
 
 
 class TestBaselinePopular:
