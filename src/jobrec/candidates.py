@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dataio import DataFormatError, _read_table, _write_tsv
+from .dataio import INT, OPT_INT, DataFormatError, _read_table, _row_error, _write_tsv
 from .entities import Dataset
 from .index import TOKEN_FIELDS
 from .similarity import SparseSetIndex
@@ -68,6 +68,10 @@ SLOT_COLUMNS: list[tuple[GeneratorId, str]] = (
 )
 
 SLOT_NAMES: list[str] = [col for _, col in SLOT_COLUMNS]
+
+# candidate file columns; a blank rank means the slot did not rank the item
+_CANDIDATE_COLUMNS = {"user_id": ("user_id", INT), "item_id": ("item_id", INT),
+                      **{col: (col, OPT_INT) for col in SLOT_NAMES}}
 
 
 class CandidateList:
@@ -266,8 +270,6 @@ def coverage(candidates: Mapping[int, CandidateList], ground_truth: Mapping[int,
 def save_candidates(
     candidates: Mapping[int, CandidateList], path: str | Path, provenance=None
 ) -> None:
-    header = ["user_id", "item_id"] + SLOT_NAMES
-
     def rows():
         for u, cl in candidates.items():
             for item, ranks in cl.ranks.items():
@@ -275,28 +277,22 @@ def save_candidates(
                     str(ranks[col]) if col in ranks else "" for col in SLOT_NAMES
                 ]
 
-    _write_tsv(Path(path), header, rows(), provenance)
+    _write_tsv(Path(path), list(_CANDIDATE_COLUMNS), rows(), provenance)
 
 
 def load_candidates(path: str | Path) -> dict[int, CandidateList]:
     path = Path(path)
     out: dict[int, CandidateList] = {}
-    for lineno, cols, f in _read_table(path, ["user_id", "item_id"] + SLOT_NAMES):
+    for lineno, cells in _read_table(path, _CANDIDATE_COLUMNS):
         try:
-            uid = int(f[cols["user_id"]])
-            item = int(f[cols["item_id"]])
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-integer user/item id") from None
+            uid, item = int(cells[0]), int(cells[1])
+            ranks = {slot: int(raw) for slot, raw in zip(SLOT_NAMES, cells[2:]) if raw}
+        except ValueError as exc:
+            raise _row_error(path, lineno, _CANDIDATE_COLUMNS, cells, exc) from None
         cl = out.get(uid)
         if cl is None:
             cl = out[uid] = CandidateList(uid)
-        for col in SLOT_NAMES:
-            raw = f[cols[col]]
-            if raw != "":
-                try:
-                    cl.add(item, col, int(raw))
-                except ValueError:
-                    raise DataFormatError(f"{path}:{lineno}: bad rank {raw!r} in {col}") from None
-        if item not in cl.ranks:
-            cl.ranks[item] = {}
+        elif item in cl.ranks:
+            raise DataFormatError(f"{path}:{lineno}: duplicate candidate: user {uid}, item {item}")
+        cl.ranks[item] = ranks
     return out

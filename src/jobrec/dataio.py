@@ -5,24 +5,30 @@ treated as provenance comments and skipped by every reader. Multi-valued
 columns hold comma-separated integer ids; the empty string means "missing"
 (empty set for multi-valued columns, 0 for categorical scalars, None for
 latitude/longitude/created_at).
+
+Contract at the file boundary:
+
+- Each table is declared once, as an ordered map column -> (entity field,
+  cell kind); a cell kind is one (parse, format) pair. The same map drives
+  the reader and the writer, so what `save_dataset` writes, `load_dataset`
+  reads back equal.
+- Every malformed cell, rejected row (wrong width, an entity that refuses
+  its fields) or duplicate key (user id, item id, target user, ground-truth
+  user) raises `DataFormatError` naming `file:line`, and the column where
+  one cell is at fault.
+- Events and target users that name unknown user/item ids are dropped by
+  `load_dataset`, counted in `Dataset.row_counts` and logged as a warning.
 """
 
 from __future__ import annotations
 
 import logging
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .entities import (
-    Dataset,
-    EventLog,
-    Impression,
-    Interaction,
-    InteractionKind,
-    Item,
-    User,
-)
+from .entities import Dataset, EventLog, Impression, Interaction, InteractionKind, Item, User
 
 log = logging.getLogger(__name__)
 
@@ -32,50 +38,98 @@ INTERACTIONS_FILE = "interactions.tsv"
 IMPRESSIONS_FILE = "impressions.tsv"
 TARGET_USERS_FILE = "target_users.tsv"
 
-USER_COLUMNS = [
-    "id",
-    "jobroles",
-    "career_level",
-    "discipline_id",
-    "industry_id",
-    "country",
-    "region",
-    "experience_n_entries_class",
-    "experience_years_experience",
-    "experience_years_in_current",
-    "edu_degree",
-    "edu_fieldofstudies",
-]
-
-ITEM_COLUMNS = [
-    "id",
-    "title",
-    "career_level",
-    "discipline_id",
-    "industry_id",
-    "country",
-    "region",
-    "latitude",
-    "longitude",
-    "employment",
-    "tags",
-    "created_at",
-    "active_during_test",
-]
-
-INTERACTION_COLUMNS = ["user_id", "item_id", "interaction_type", "created_at"]
-IMPRESSION_COLUMNS = ["user_id", "year", "week", "items"]
-
-KIND_CODES: dict[int, InteractionKind] = {
-    1: InteractionKind.CLICK,
-    2: InteractionKind.BOOKMARK,
-    3: InteractionKind.REPLY,
-    4: InteractionKind.DELETE,
-}
-
 
 class DataFormatError(ValueError):
     """Malformed input file; message carries file path and line number."""
+
+
+# ---------------------------------------------------------------- cell kinds
+
+
+class Cell(NamedTuple):
+    """How one column's cell is parsed from and formatted to a string.
+    `parse` raises a plain `ValueError` on a malformed cell."""
+
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+def _ids(raw: str) -> frozenset[int]:
+    return frozenset([int(tok) for tok in raw.split(",")]) if raw else frozenset()
+
+
+def _flag(raw: str) -> bool:
+    if raw not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {raw!r}")
+    return raw == "1"
+
+
+_KINDS = {int(k): k for k in InteractionKind}
+
+
+def _kind(raw: str) -> InteractionKind:
+    kind = _KINDS.get(int(raw))
+    if kind is None:
+        raise ValueError(f"unknown interaction_type code {raw}")
+    return kind
+
+
+INT = Cell(int, str)
+OPT_INT = Cell(lambda raw: int(raw) if raw else 0, str)
+OPT_TIMESTAMP = Cell(lambda raw: int(raw) if raw else None, lambda v: "" if v is None else str(v))
+OPT_FLOAT = Cell(lambda raw: float(raw) if raw else None, lambda v: "" if v is None else repr(v))
+ID_SET = Cell(_ids, lambda s: ",".join([str(t) for t in sorted(s)]))
+ID_LIST = Cell(lambda raw: [int(tok) for tok in raw.split(",")],
+               lambda ids: ",".join([str(i) for i in ids]))
+FLAG = Cell(_flag, {False: "0", True: "1"}.__getitem__)
+KIND = Cell(_kind, {k: str(int(k)) for k in InteractionKind}.__getitem__)
+
+# ------------------------------------------------------------- table specs
+# column -> (entity field, cell kind), in file column order
+
+Columns = Mapping[str, tuple[str, Cell]]
+
+USER_COLUMNS: Columns = {
+    "id": ("id", INT),
+    "jobroles": ("jobroles", ID_SET),
+    **{c: (c, OPT_INT) for c in (
+        "career_level", "discipline_id", "industry_id", "country", "region",
+        "experience_n_entries_class", "experience_years_experience",
+        "experience_years_in_current", "edu_degree")},
+    "edu_fieldofstudies": ("edu_fieldofstudies", ID_SET),
+}
+
+ITEM_COLUMNS: Columns = {
+    "id": ("id", INT),
+    "title": ("title", ID_SET),
+    **{c: (c, OPT_INT) for c in (
+        "career_level", "discipline_id", "industry_id", "country", "region")},
+    "latitude": ("latitude", OPT_FLOAT),
+    "longitude": ("longitude", OPT_FLOAT),
+    "employment": ("employment", OPT_INT),
+    "tags": ("tags", ID_SET),
+    "created_at": ("created_at", OPT_TIMESTAMP),
+    "active_during_test": ("active_during_test", FLAG),
+}
+
+INTERACTION_COLUMNS: Columns = {
+    "user_id": ("user_id", INT),
+    "item_id": ("item_id", INT),
+    "interaction_type": ("kind", KIND),
+    "created_at": ("timestamp", INT),
+}
+
+# one impressions row expands to one Impression per listed item, so this
+# spec only serves the header and the failure path of `load_impressions`
+IMPRESSION_COLUMNS: Columns = {
+    "user_id": ("user_id", INT),
+    "year": ("year", INT),
+    "week": ("week", INT),
+    "items": ("items", ID_LIST),
+}
+
+TARGET_USER_COLUMNS: Columns = {"user_id": ("user_id", INT)}
+GROUND_TRUTH_COLUMNS: Columns = {"user_id": ("user_id", INT), "items": ("items", ID_SET)}
 
 
 # ---------------------------------------------------------------- provenance
@@ -101,144 +155,79 @@ def read_provenance(path: str | Path) -> dict[str, str]:
     return out
 
 
-# ------------------------------------------------------------------- parsing
+# ------------------------------------------------------------------- reading
 
 
-def _iter_rows(path: Path) -> Iterable[tuple[int, list[str]]]:
+def _read_table(path: Path, required: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, cells of the `required` columns in that order) per
+    data row; the header may order columns freely and add others."""
+    required = list(required)
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                continue
-            yield lineno, line.rstrip("\n").split("\t")
+        rows = ((n, line.rstrip("\n").split("\t"))
+                for n, line in enumerate(fh, start=1) if not line.startswith("#"))
+        try:
+            _, header = next(rows)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file, expected a header row") from None
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise DataFormatError(f"{path}:1: missing columns {missing} in header {header}")
+        width = len(header)
+        pos = None if header == required else [header.index(c) for c in required]
+        for lineno, fields in rows:
+            if len(fields) != width:
+                raise DataFormatError(f"{path}:{lineno}: expected {width} columns, got {len(fields)}")
+            yield lineno, fields if pos is None else [fields[p] for p in pos]
 
 
-def _header_map(path: Path, fields: list[str], required: list[str]) -> dict[str, int]:
-    mapping = {name: pos for pos, name in enumerate(fields)}
-    missing = [c for c in required if c not in mapping]
-    if missing:
-        raise DataFormatError(f"{path}:1: missing columns {missing} in header {fields}")
-    return mapping
+def _row_error(path: Path, lineno: int, columns: Columns, cells: list[str],
+               exc: Exception) -> DataFormatError:
+    """The error for a row that raised `exc`, naming the first bad cell's
+    column, or only the row when every cell parses on its own."""
+    for (column, (_, cell)), raw in zip(columns.items(), cells):
+        try:
+            cell.parse(raw)
+        except ValueError as cell_exc:
+            return DataFormatError(f"{path}:{lineno}: column {column!r}: {cell_exc}")
+    return DataFormatError(f"{path}:{lineno}: {exc}")
 
 
-def _int_field(path: Path, lineno: int, raw: str, column: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise DataFormatError(f"{path}:{lineno}: column {column!r} is not an integer: {raw!r}") from None
-
-
-def _opt_int(path: Path, lineno: int, raw: str, column: str) -> int:
-    return 0 if raw == "" else _int_field(path, lineno, raw, column)
-
-
-def _opt_float(path: Path, lineno: int, raw: str, column: str) -> float | None:
-    if raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataFormatError(f"{path}:{lineno}: column {column!r} is not a float: {raw!r}") from None
-
-
-def _id_set(path: Path, lineno: int, raw: str, column: str) -> frozenset[int]:
-    if raw == "":
-        return frozenset()
-    try:
-        return frozenset(int(tok) for tok in raw.split(","))
-    except ValueError:
-        raise DataFormatError(f"{path}:{lineno}: column {column!r} is not a comma-separated id list: {raw!r}") from None
-
-
-def _read_table(path: Path, required: list[str]):
-    rows = _iter_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise DataFormatError(f"{path}: empty file, expected a header row") from None
-    cols = _header_map(path, header, required)
-    width = len(header)
-    for lineno, fields in rows:
-        if len(fields) != width:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {width} columns, got {len(fields)}"
-            )
-        yield lineno, cols, fields
-
-
-# ------------------------------------------------------------------- loaders
+def _read_records(path: str | Path, columns: Columns, make: Callable, key: str | None = None):
+    """`make(**fields)` per row, as a list; with `key`, a dict by that
+    field's value, where a repeated value is rejected at its row."""
+    path = Path(path)
+    names = [name for name, _ in columns.values()]
+    parsers = [cell.parse for _, cell in columns.values()]
+    out: dict | list = {} if key else []
+    for lineno, cells in _read_table(path, columns):
+        try:
+            fields = {n: p(raw) for n, p, raw in zip(names, parsers, cells)}
+            record = make(**fields)
+            if key is None:
+                out.append(record)
+            elif fields[key] in out:
+                raise ValueError(f"duplicate {key} {fields[key]}")
+            else:
+                out[fields[key]] = record
+        except ValueError as exc:
+            raise _row_error(path, lineno, columns, cells, exc) from None
+    return out
 
 
 def load_users(path: str | Path) -> dict[int, User]:
-    path = Path(path)
-    users: dict[int, User] = {}
-    for lineno, cols, f in _read_table(path, USER_COLUMNS):
-        uid = _int_field(path, lineno, f[cols["id"]], "id")
-        users[uid] = User(
-            id=uid,
-            jobroles=_id_set(path, lineno, f[cols["jobroles"]], "jobroles"),
-            career_level=_opt_int(path, lineno, f[cols["career_level"]], "career_level"),
-            discipline_id=_opt_int(path, lineno, f[cols["discipline_id"]], "discipline_id"),
-            industry_id=_opt_int(path, lineno, f[cols["industry_id"]], "industry_id"),
-            country=_opt_int(path, lineno, f[cols["country"]], "country"),
-            region=_opt_int(path, lineno, f[cols["region"]], "region"),
-            experience_n_entries_class=_opt_int(
-                path, lineno, f[cols["experience_n_entries_class"]], "experience_n_entries_class"
-            ),
-            experience_years_experience=_opt_int(
-                path, lineno, f[cols["experience_years_experience"]], "experience_years_experience"
-            ),
-            experience_years_in_current=_opt_int(
-                path, lineno, f[cols["experience_years_in_current"]], "experience_years_in_current"
-            ),
-            edu_degree=_opt_int(path, lineno, f[cols["edu_degree"]], "edu_degree"),
-            edu_fieldofstudies=_id_set(
-                path, lineno, f[cols["edu_fieldofstudies"]], "edu_fieldofstudies"
-            ),
-        )
-    return users
+    return _read_records(path, USER_COLUMNS, User, key="id")
 
 
 def load_items(path: str | Path) -> dict[int, Item]:
-    path = Path(path)
-    items: dict[int, Item] = {}
-    for lineno, cols, f in _read_table(path, ITEM_COLUMNS):
-        iid = _int_field(path, lineno, f[cols["id"]], "id")
-        created_raw = f[cols["created_at"]]
-        items[iid] = Item(
-            id=iid,
-            title=_id_set(path, lineno, f[cols["title"]], "title"),
-            tags=_id_set(path, lineno, f[cols["tags"]], "tags"),
-            career_level=_opt_int(path, lineno, f[cols["career_level"]], "career_level"),
-            discipline_id=_opt_int(path, lineno, f[cols["discipline_id"]], "discipline_id"),
-            industry_id=_opt_int(path, lineno, f[cols["industry_id"]], "industry_id"),
-            country=_opt_int(path, lineno, f[cols["country"]], "country"),
-            region=_opt_int(path, lineno, f[cols["region"]], "region"),
-            employment=_opt_int(path, lineno, f[cols["employment"]], "employment"),
-            latitude=_opt_float(path, lineno, f[cols["latitude"]], "latitude"),
-            longitude=_opt_float(path, lineno, f[cols["longitude"]], "longitude"),
-            created_at=None if created_raw == "" else _int_field(path, lineno, created_raw, "created_at"),
-            active_during_test=f[cols["active_during_test"]] == "1",
-        )
-    return items
+    return _read_records(path, ITEM_COLUMNS, Item, key="id")
 
 
 def load_interactions(path: str | Path) -> list[Interaction]:
-    path = Path(path)
-    out: list[Interaction] = []
-    for lineno, cols, f in _read_table(path, INTERACTION_COLUMNS):
-        code = _int_field(path, lineno, f[cols["interaction_type"]], "interaction_type")
-        kind = KIND_CODES.get(code)
-        if kind is None:
-            raise DataFormatError(f"{path}:{lineno}: unknown interaction_type code {code}")
-        out.append(
-            Interaction(
-                user_id=_int_field(path, lineno, f[cols["user_id"]], "user_id"),
-                item_id=_int_field(path, lineno, f[cols["item_id"]], "item_id"),
-                kind=kind,
-                timestamp=_int_field(path, lineno, f[cols["created_at"]], "created_at"),
-            )
-        )
-    return out
+    return _read_records(path, INTERACTION_COLUMNS, Interaction)
+
+
+def load_target_users(path: str | Path) -> list[int]:
+    return list(_read_records(path, TARGET_USER_COLUMNS, lambda user_id: user_id, key="user_id"))
 
 
 def week_index(year: int, week: int) -> int:
@@ -255,37 +244,26 @@ def year_week(index: int) -> tuple[int, int]:
 def load_impressions(path: str | Path) -> list[Impression]:
     path = Path(path)
     out: list[Impression] = []
-    for lineno, cols, f in _read_table(path, IMPRESSION_COLUMNS):
-        uid = _int_field(path, lineno, f[cols["user_id"]], "user_id")
-        year = _int_field(path, lineno, f[cols["year"]], "year")
-        week = _int_field(path, lineno, f[cols["week"]], "week")
+    for lineno, cells in _read_table(path, IMPRESSION_COLUMNS):
         try:
-            widx = week_index(year, week)
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: invalid ISO year/week {year}/{week}") from None
-        for iid in f[cols["items"]].split(","):
-            if iid == "":
-                raise DataFormatError(f"{path}:{lineno}: empty item id in impression list")
-            out.append(Impression(user_id=uid, item_id=_int_field(path, lineno, iid, "items"), week=widx))
+            uid, year, week, items = cells
+            uid, year, week = int(uid), int(year), int(week)
+            try:
+                widx = week_index(year, week)
+            except ValueError:
+                raise ValueError(f"column 'week': {week} is not an ISO week of {year}") from None
+            out.extend([Impression(uid, int(i), widx) for i in items.split(",")])
+        except ValueError as exc:
+            raise _row_error(path, lineno, IMPRESSION_COLUMNS, cells, exc) from None
     return out
 
 
-def load_target_users(path: str | Path) -> list[int]:
-    path = Path(path)
-    out: list[int] = []
-    for lineno, cols, f in _read_table(path, ["user_id"]):
-        out.append(_int_field(path, lineno, f[cols["user_id"]], "user_id"))
-    return out
-
-
-def load_dataset(directory: str | Path, on_unknown_ref: str = "drop") -> Dataset:
+def load_dataset(directory: str | Path) -> Dataset:
     """Load the five challenge tables from a directory.
 
-    on_unknown_ref: "drop" silently removes events referencing unknown
-    user/item ids (counts reported), "fail" raises instead.
+    Events and target users that reference unknown user/item ids are
+    dropped; the counts are in `row_counts` and logged as a warning.
     """
-    if on_unknown_ref not in ("drop", "fail"):
-        raise ValueError(f"on_unknown_ref must be 'drop' or 'fail', got {on_unknown_ref!r}")
     directory = Path(directory)
     users = load_users(directory / USERS_FILE)
     items = load_items(directory / ITEMS_FILE)
@@ -293,62 +271,28 @@ def load_dataset(directory: str | Path, on_unknown_ref: str = "drop") -> Dataset
     impressions = load_impressions(directory / IMPRESSIONS_FILE)
     targets = load_target_users(directory / TARGET_USERS_FILE)
 
-    counts = {
-        "users": len(users),
-        "items": len(items),
-        "interactions": len(interactions),
-        "impressions": len(impressions),
-        "target_users": len(targets),
+    kept = {
+        "interactions": [e for e in interactions if e.user_id in users and e.item_id in items],
+        "impressions": [e for e in impressions if e.user_id in users and e.item_id in items],
+        "target_users": [u for u in targets if u in users],
     }
-
-    def known(u: int, i: int) -> bool:
-        return u in users and i in items
-
-    kept_int = [e for e in interactions if known(e.user_id, e.item_id)]
-    kept_imp = [e for e in impressions if known(e.user_id, e.item_id)]
-    kept_targets = [u for u in targets if u in users]
-    dropped = (
-        (len(interactions) - len(kept_int))
-        + (len(impressions) - len(kept_imp))
-        + (len(targets) - len(kept_targets))
-    )
-    if dropped and on_unknown_ref == "fail":
-        raise DataFormatError(
-            f"{directory}: {dropped} events reference unknown user/item ids"
-        )
-    counts["interactions_dropped"] = len(interactions) - len(kept_int)
-    counts["impressions_dropped"] = len(impressions) - len(kept_imp)
-    counts["target_users_dropped"] = len(targets) - len(kept_targets)
+    counts = {"users": len(users), "items": len(items), "interactions": len(interactions),
+              "impressions": len(impressions), "target_users": len(targets)}
+    counts.update({f"{table}_dropped": counts[table] - len(rows) for table, rows in kept.items()})
+    dropped = sum(counts[f"{table}_dropped"] for table in kept)
     if dropped:
         log.warning("dropped %d events with unknown user/item references", dropped)
     for table in ("users", "items", "interactions", "impressions", "target_users"):
         log.info("loaded %s: %d rows", table, counts[table])
-
-    return Dataset(
-        users=users,
-        items=items,
-        events=EventLog(kept_int, kept_imp),
-        target_users=kept_targets,
-        row_counts=counts,
-    )
+    return Dataset(users=users, items=items,
+                   events=EventLog(kept["interactions"], kept["impressions"]),
+                   target_users=kept["target_users"], row_counts=counts)
 
 
-# ------------------------------------------------------------------- writers
+# ------------------------------------------------------------------- writing
 
 
-def _fmt_set(s: frozenset[int]) -> str:
-    return ",".join(str(t) for t in sorted(s))
-
-
-def _fmt_opt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_tsv(path: Path, header: list[str], rows: Iterable[list[str]], provenance=None) -> None:
+def _write_tsv(path: Path, header: list[str], rows: Iterable[Iterable[str]], provenance=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in format_provenance(provenance):
             fh.write(line + "\n")
@@ -357,55 +301,15 @@ def _write_tsv(path: Path, header: list[str], rows: Iterable[list[str]], provena
             fh.write("\t".join(row) + "\n")
 
 
-def save_users(users: dict[int, User], path: str | Path, provenance=None) -> None:
-    rows = (
-        [
-            str(u.id),
-            _fmt_set(u.jobroles),
-            str(u.career_level),
-            str(u.discipline_id),
-            str(u.industry_id),
-            str(u.country),
-            str(u.region),
-            str(u.experience_n_entries_class),
-            str(u.experience_years_experience),
-            str(u.experience_years_in_current),
-            str(u.edu_degree),
-            _fmt_set(u.edu_fieldofstudies),
-        ]
-        for u in users.values()
-    )
-    _write_tsv(Path(path), USER_COLUMNS, rows, provenance)
-
-
-def save_items(items: dict[int, Item], path: str | Path, provenance=None) -> None:
-    rows = (
-        [
-            str(it.id),
-            _fmt_set(it.title),
-            str(it.career_level),
-            str(it.discipline_id),
-            str(it.industry_id),
-            str(it.country),
-            str(it.region),
-            _fmt_opt(it.latitude),
-            _fmt_opt(it.longitude),
-            str(it.employment),
-            _fmt_set(it.tags),
-            _fmt_opt(it.created_at),
-            "1" if it.active_during_test else "0",
-        ]
-        for it in items.values()
-    )
-    _write_tsv(Path(path), ITEM_COLUMNS, rows, provenance)
+def _write_records(path: str | Path, columns: Columns, records: Iterable, provenance=None) -> None:
+    # formatted column by column, so a `str` cell costs no Python-level call
+    records = list(records)
+    cells = [map(cell.format, map(attrgetter(name), records)) for name, cell in columns.values()]
+    _write_tsv(Path(path), list(columns), zip(*cells), provenance)
 
 
 def save_interactions(interactions: list[Interaction], path: str | Path, provenance=None) -> None:
-    rows = (
-        [str(e.user_id), str(e.item_id), str(int(e.kind)), str(e.timestamp)]
-        for e in interactions
-    )
-    _write_tsv(Path(path), INTERACTION_COLUMNS, rows, provenance)
+    _write_records(path, INTERACTION_COLUMNS, interactions, provenance)
 
 
 def save_impressions(impressions: list[Impression], path: str | Path, provenance=None) -> None:
@@ -417,43 +321,35 @@ def save_impressions(impressions: list[Impression], path: str | Path, provenance
     def rows():
         for (uid, widx), item_ids in grouped.items():
             year, week = year_week(widx)
-            yield [str(uid), str(year), str(week), ",".join(str(i) for i in item_ids)]
+            yield [str(uid), str(year), str(week), ID_LIST.format(item_ids)]
 
-    _write_tsv(Path(path), IMPRESSION_COLUMNS, rows(), provenance)
-
-
-def save_target_users(target_users: list[int], path: str | Path, provenance=None) -> None:
-    _write_tsv(Path(path), ["user_id"], ([str(u)] for u in target_users), provenance)
+    _write_tsv(Path(path), list(IMPRESSION_COLUMNS), rows(), provenance)
 
 
 def save_dataset(dataset: Dataset, directory: str | Path, provenance=None) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_users(dataset.users, directory / USERS_FILE, provenance)
-    save_items(dataset.items, directory / ITEMS_FILE, provenance)
+    _write_records(directory / USERS_FILE, USER_COLUMNS, dataset.users.values(), provenance)
+    _write_records(directory / ITEMS_FILE, ITEM_COLUMNS, dataset.items.values(), provenance)
     save_interactions(dataset.interactions, directory / INTERACTIONS_FILE, provenance)
     save_impressions(dataset.impressions, directory / IMPRESSIONS_FILE, provenance)
-    save_target_users(dataset.target_users, directory / TARGET_USERS_FILE, provenance)
+    _write_tsv(directory / TARGET_USERS_FILE, list(TARGET_USER_COLUMNS),
+               ([str(u)] for u in dataset.target_users), provenance)
 
 
 # -------------------------------------------------------- ground truth files
 
 
 def save_ground_truth(truth: dict[int, set[int]], path: str | Path, provenance=None) -> None:
-    rows = (
-        [str(u), ",".join(str(i) for i in sorted(truth[u]))]
-        for u in sorted(truth)
-    )
-    _write_tsv(Path(path), ["user_id", "items"], rows, provenance)
+    rows = ([str(u), ID_SET.format(truth[u])] for u in sorted(truth))
+    _write_tsv(Path(path), list(GROUND_TRUTH_COLUMNS), rows, provenance)
+
+
+def _truth_items(user_id: int, items: frozenset[int]) -> set[int]:
+    if not items:
+        raise ValueError(f"empty ground-truth item set for user {user_id}")
+    return set(items)
 
 
 def load_ground_truth(path: str | Path) -> dict[int, set[int]]:
-    path = Path(path)
-    truth: dict[int, set[int]] = {}
-    for lineno, cols, f in _read_table(path, ["user_id", "items"]):
-        uid = _int_field(path, lineno, f[cols["user_id"]], "user_id")
-        items = _id_set(path, lineno, f[cols["items"]], "items")
-        if not items:
-            raise DataFormatError(f"{path}:{lineno}: empty ground-truth item set for user {uid}")
-        truth[uid] = set(items)
-    return truth
+    return _read_records(path, GROUND_TRUTH_COLUMNS, _truth_items, key="user_id")

@@ -212,7 +212,8 @@ class FeatureExtractor:
 
     Assumes referential integrity: every event references a user and item
     present in the entity tables (the loader enforces this; the synthesizer
-    produces it by construction).
+    produces it by construction). A user whose own positive interaction or
+    impression names an unknown item raises `ValueError`.
     """
 
     def __init__(self, dataset: Dataset, candidates: Mapping[int, CandidateList]) -> None:
@@ -263,6 +264,13 @@ class FeatureExtractor:
         week_lo = ix.now - 7 * DAY_SECONDS
         imp_week_events = [im for im in imps if im.week == ix.now_week]
 
+        try:
+            rows = {src: np.array([ix.row_of[i] for i in its], dtype=np.int64)
+                    for src, its in (("int", int_items), ("imp", imp_items))}
+        except KeyError as exc:
+            raise ValueError(f"user {user_id} has events on item {exc.args[0]}, "
+                             "which is not in the item table") from None
+
         cluster_hits: set[int] = set()
         for i in int_items:
             cluster_hits |= ix.cluster.neighbors(i)
@@ -275,10 +283,7 @@ class FeatureExtractor:
             "kind_counts": kind_counts,
             "uir_user": window_counts(last_any),
             "uir_data": window_counts(ix.now),
-            "rows": {
-                "int": np.array([ix.row_of[i] for i in int_items], dtype=np.int64),
-                "imp": np.array([ix.row_of[i] for i in imp_items], dtype=np.int64),
-            },
+            "rows": rows,
             "act": {
                 "int_events": float(len(positive)),
                 "int_unique": float(len(int_items)),

@@ -18,6 +18,7 @@ from jobrec.candidates import (
     load_candidates,
     save_candidates,
 )
+from jobrec.dataio import DataFormatError
 from jobrec.entities import WEEK_SECONDS
 
 import oracles
@@ -420,3 +421,24 @@ class TestRoundTrip:
         for u in cands:
             assert back[u].ranks == cands[u].ranks
             assert back[u].items() == cands[u].items()
+
+    def write_rows(self, path, *rows):
+        header = "\t".join(["user_id", "item_id"] + SLOT_NAMES)
+        path.write_text("\n".join([header, *rows]) + "\n")
+
+    def test_repeated_pair_rejected_at_second_row(self, tmp_path):
+        blanks = "\t" * (len(SLOT_NAMES) - 1)
+        path = tmp_path / "cands.tsv"
+        self.write_rows(path, f"1\t101\t1{blanks}", f"1\t102\t2{blanks}",
+                        f"1\t101\t{blanks}3")
+        with pytest.raises(DataFormatError, match=r"cands.tsv:4: duplicate candidate: user 1, item 101"):
+            load_candidates(path)
+
+    @pytest.mark.parametrize("column", ["user_id", "item_id", *SLOT_NAMES])
+    def test_bad_cell_names_line_and_column(self, tmp_path, column):
+        cells = dict.fromkeys(["user_id", "item_id", *SLOT_NAMES], "1")
+        cells[column] = "x"
+        path = tmp_path / "cands.tsv"
+        self.write_rows(path, "\t".join(cells.values()))
+        with pytest.raises(DataFormatError, match=rf"cands.tsv:2: column '{column}'"):
+            load_candidates(path)

@@ -1,8 +1,11 @@
 """TSV round trips, malformed input diagnostics, and the week bijection."""
 
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jobrec.dataio import (
     DataFormatError,
@@ -11,6 +14,7 @@ from jobrec.dataio import (
     load_impressions,
     load_interactions,
     load_items,
+    load_target_users,
     load_users,
     read_provenance,
     save_dataset,
@@ -18,7 +22,7 @@ from jobrec.dataio import (
     week_index,
     year_week,
 )
-from jobrec.entities import InteractionKind
+from jobrec.entities import Impression, Interaction, InteractionKind, Item, User
 
 from conftest import ev, imp, make_dataset, make_item, make_user
 
@@ -81,7 +85,7 @@ class TestRoundTrip:
     def test_empty_ground_truth_set_rejected(self, tmp_path):
         path = tmp_path / "gt.tsv"
         path.write_text("user_id\titems\n1\t\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="gt.tsv:2: "):
             load_ground_truth(path)
 
 
@@ -147,7 +151,7 @@ class TestMalformedInput:
                   "region\tlatitude\tlongitude\temployment\ttags\tcreated_at\t"
                   "active_during_test\n")
         path.write_text(header + "101\t\t0\t0\t0\t0\t0\t51.05\t\t0\t\t\t1\n")
-        with pytest.raises((DataFormatError, ValueError)):
+        with pytest.raises(DataFormatError, match="items.tsv:2: .*latitude and longitude"):
             load_items(path)
 
 
@@ -160,19 +164,9 @@ class TestUnknownReferences:
 
     def test_drop_mode_removes_and_counts(self, tmp_path):
         self.write_with_dangling(tmp_path)
-        ds = load_dataset(tmp_path, on_unknown_ref="drop")
+        ds = load_dataset(tmp_path)
         assert ds.row_counts["interactions_dropped"] == 1
         assert all(e.user_id != 777 for e in ds.interactions)
-
-    def test_fail_mode_raises(self, tmp_path):
-        self.write_with_dangling(tmp_path)
-        with pytest.raises(DataFormatError):
-            load_dataset(tmp_path, on_unknown_ref="fail")
-
-    def test_bad_mode_rejected(self, tmp_path):
-        save_dataset(sample_dataset(), tmp_path)
-        with pytest.raises(ValueError):
-            load_dataset(tmp_path, on_unknown_ref="ignore")
 
 
 class TestEdgeCases:
@@ -217,3 +211,161 @@ class TestWeekBijection:
     def test_invalid_week_rejected(self):
         with pytest.raises(ValueError):
             week_index(2016, 53)  # 2016 has only 52 ISO weeks
+
+
+# one valid row per table, by column; each sweep case breaks one cell
+GOOD_ROWS = {
+    "users.tsv": (load_users, {
+        "id": "1", "jobroles": "3,4", "career_level": "2", "discipline_id": "0",
+        "industry_id": "", "country": "5", "region": "0",
+        "experience_n_entries_class": "1", "experience_years_experience": "2",
+        "experience_years_in_current": "1", "edu_degree": "0", "edu_fieldofstudies": "7",
+    }),
+    "items.tsv": (load_items, {
+        "id": "101", "title": "9", "career_level": "3", "discipline_id": "0",
+        "industry_id": "0", "country": "5", "region": "0", "latitude": "51.05",
+        "longitude": "13.73", "employment": "1", "tags": "1,2", "created_at": "1234567",
+        "active_during_test": "1",
+    }),
+    "interactions.tsv": (load_interactions, {
+        "user_id": "1", "item_id": "101", "interaction_type": "2", "created_at": "1000",
+    }),
+    "impressions.tsv": (load_impressions, {
+        "user_id": "7", "year": "2015", "week": "2", "items": "11,12",
+    }),
+    "target_users.tsv": (load_target_users, {"user_id": "1"}),
+    "ground_truth.tsv": (load_ground_truth, {"user_id": "1", "items": "5,6"}),
+}
+
+BAD_CELLS = {
+    "users.tsv": {
+        "id": "u1", "jobroles": "3,x", "career_level": "senior", "discipline_id": "1.5",
+        "industry_id": "x", "country": "de", "region": "?",
+        "experience_n_entries_class": "a", "experience_years_experience": "2y",
+        "experience_years_in_current": "-", "edu_degree": "msc", "edu_fieldofstudies": "7,,8",
+    },
+    "items.tsv": {
+        "id": "", "title": "9;10", "career_level": "x", "discipline_id": "x",
+        "industry_id": "x", "country": "x", "region": "x", "latitude": "north",
+        "longitude": "east", "employment": "full", "tags": "1,b", "created_at": "yesterday",
+        "active_during_test": "yes",
+    },
+    "interactions.tsv": {
+        "user_id": "", "item_id": "abc", "interaction_type": "9", "created_at": "1.5",
+    },
+    "impressions.tsv": {"user_id": "u7", "year": "20x5", "week": "60", "items": "11,,12"},
+    "target_users.tsv": {"user_id": "one"},
+    "ground_truth.tsv": {"user_id": "x", "items": "5,b"},
+}
+
+SWEEP = [(name, column) for name in BAD_CELLS for column in BAD_CELLS[name]]
+
+
+def write_rows(path, rows):
+    """A provenance line, the header, then `rows` (row i lands on line i + 3)."""
+    header = list(rows[0])
+    lines = ["# stage=test", "\t".join(header)] + ["\t".join(r[c] for c in header) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedCellSweep:
+    @pytest.mark.parametrize("name,column", SWEEP, ids=[f"{n}-{c}" for n, c in SWEEP])
+    def test_bad_cell_names_file_line_and_column(self, tmp_path, name, column):
+        loader, good = GOOD_ROWS[name]
+        write_rows(tmp_path / name, [good, {**good, column: BAD_CELLS[name][column]}])
+        with pytest.raises(DataFormatError) as err:
+            loader(tmp_path / name)
+        assert f"{name}:4" in str(err.value)
+        assert column in str(err.value)
+
+    @pytest.mark.parametrize("name", list(GOOD_ROWS))
+    def test_good_rows_load(self, tmp_path, name):
+        loader, good = GOOD_ROWS[name]
+        write_rows(tmp_path / name, [good])
+        assert len(loader(tmp_path / name)) > 0
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize("name,key", [
+        ("users.tsv", "id"),
+        ("items.tsv", "id"),
+        ("target_users.tsv", "user_id"),
+        ("ground_truth.tsv", "user_id"),
+    ])
+    def test_second_row_rejected_at_its_line(self, tmp_path, name, key):
+        loader, good = GOOD_ROWS[name]
+        write_rows(tmp_path / name, [{**good, key: "3"}, {**good, key: "2"}, {**good, key: "3"}])
+        with pytest.raises(DataFormatError, match=rf"{name}:5: duplicate {key} 3"):
+            loader(tmp_path / name)
+
+    def test_ground_truth_rows_not_merged(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_text("user_id\titems\n1\t5,6\n1\t7\n")
+        with pytest.raises(DataFormatError, match="gt.tsv:3: "):
+            load_ground_truth(path)
+
+    def test_repeated_target_user_fails_load_dataset(self, tmp_path):
+        save_dataset(sample_dataset(), tmp_path)
+        with open(tmp_path / "target_users.tsv", "a") as fh:
+            fh.write("1\n")
+        with pytest.raises(DataFormatError, match="target_users.tsv:4: "):
+            load_dataset(tmp_path)
+
+
+# -------------------------------------------------- save/load property test
+
+ids = st.integers(min_value=0, max_value=10**6)
+id_sets = st.frozensets(st.integers(min_value=0, max_value=500), max_size=4)
+cats = st.integers(min_value=0, max_value=50)
+coords = st.floats(allow_nan=False, allow_infinity=False, min_value=-180, max_value=180)
+# ISO years with 52 and 53 weeks, so the (year, week) columns cross year ends
+weeks = st.integers(min_value=2010, max_value=2020).flatmap(
+    lambda y: st.integers(min_value=1, max_value=date(y, 12, 28).isocalendar()[1]).map(
+        lambda w: week_index(y, w)))
+
+
+@st.composite
+def datasets(draw):
+    user_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    item_ids = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    users = [User(u, draw(id_sets), *draw(st.tuples(*[cats] * 9)), draw(id_sets))
+             for u in user_ids]
+    items = []
+    for i in item_ids:
+        lat, lon = draw(st.just((None, None)) | st.tuples(coords, coords))
+        items.append(Item(
+            i, draw(id_sets), draw(id_sets), *draw(st.tuples(*[cats] * 6)),
+            latitude=lat, longitude=lon,
+            created_at=draw(st.none() | st.integers(min_value=0, max_value=2**40)),
+            active_during_test=draw(st.booleans()),
+        ))
+    interactions = draw(st.lists(st.builds(
+        Interaction, st.sampled_from(user_ids), st.sampled_from(item_ids),
+        st.sampled_from(list(InteractionKind)), st.integers(min_value=0, max_value=2**40),
+    ), max_size=12))
+    # one challenge row per (user, week), expanded in the order a load yields
+    rows = draw(st.dictionaries(st.tuples(st.sampled_from(user_ids), weeks),
+                                st.lists(st.sampled_from(item_ids), min_size=1, max_size=4),
+                                max_size=6))
+    impressions = [Impression(u, i, w) for (u, w), its in rows.items() for i in its]
+    targets = draw(st.lists(st.sampled_from(user_ids), unique=True))
+    return make_dataset(users, items, interactions, impressions, targets=targets)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets())
+    def test_save_load_equal_and_resave_identical(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a", Path(tmp) / "b"
+            save_dataset(ds, a)
+            back = load_dataset(a)
+            assert back.users == ds.users
+            assert back.items == ds.items
+            assert back.interactions == ds.interactions
+            assert back.impressions == ds.impressions
+            assert back.target_users == ds.target_users
+            save_dataset(back, b)
+            for name in ("users.tsv", "items.tsv", "interactions.tsv",
+                         "impressions.tsv", "target_users.tsv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -448,6 +448,14 @@ class TestCandidatePosition:
         with pytest.raises(ValueError):
             ext.block(1, [101])
 
+    def test_own_event_on_unknown_item_names_user_and_item(self):
+        ds = make_dataset([make_user(1)], [make_item(101), make_item(102)],
+                          [ev(1, 101, ts=1)], [imp(5, 999, 0)], targets=[1, 5])
+        cands = CandidateGenerator(ds).generate_all([1, 5])
+        assert set(cands) == {1, 5} and len(cands[5]) > 0
+        with pytest.raises(ValueError, match=r"user 5 .*item 999"):
+            build_matrix(ds, cands)
+
     def test_ranks_match_saved_candidates(self, tmp_path):
         rng = np.random.default_rng(14)
         users = [make_user(u, jobroles=frozenset(rng.choice(10, size=2, replace=False).tolist()))
