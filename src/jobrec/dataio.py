@@ -22,6 +22,7 @@ Contract at the file boundary:
 
 from __future__ import annotations
 
+import inspect
 import logging
 from datetime import date
 from operator import attrgetter
@@ -193,22 +194,26 @@ def _row_error(path: Path, lineno: int, columns: Columns, cells: list[str],
 
 
 def _read_records(path: str | Path, columns: Columns, make: Callable, key: str | None = None):
-    """`make(**fields)` per row, as a list; with `key`, a dict by that
-    field's value, where a repeated value is rejected at its row."""
+    """`make(*fields)` per row, fields passed in `make`'s parameter order, as
+    a list; with `key`, a dict by that field's value, where a repeated value
+    is rejected at its row."""
     path = Path(path)
-    names = [name for name, _ in columns.values()]
-    parsers = [cell.parse for _, cell in columns.values()]
+    specs = list(columns.values())
+    column_of = {name: c for c, (name, _) in enumerate(specs)}
+    order = [column_of[name] for name in inspect.signature(make).parameters]
+    plan = [(specs[c][1].parse, c) for c in order]
+    key_at = order.index(column_of[key]) if key else None
     out: dict | list = {} if key else []
     for lineno, cells in _read_table(path, columns):
         try:
-            fields = {n: p(raw) for n, p, raw in zip(names, parsers, cells)}
-            record = make(**fields)
+            fields = [parse(cells[c]) for parse, c in plan]
+            record = make(*fields)
             if key is None:
                 out.append(record)
-            elif fields[key] in out:
-                raise ValueError(f"duplicate {key} {fields[key]}")
+            elif fields[key_at] in out:
+                raise ValueError(f"duplicate {key} {fields[key_at]}")
             else:
-                out[fields[key]] = record
+                out[fields[key_at]] = record
         except ValueError as exc:
             raise _row_error(path, lineno, columns, cells, exc) from None
     return out

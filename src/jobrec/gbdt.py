@@ -14,13 +14,30 @@ equal-gain splits go to the lowest feature index, then the lowest
 threshold. Training is fully deterministic.
 
 Each column is argsorted once per train call (the presorted column order
-of exact greedy in XGBoost, Chen & Guestrin, KDD 2016). At a node, the
-node's rows are picked out of every column's order at once, and one
-prefix sum per (feature, row) array and one flat argmax over all
-features find the split. No float is summed in a different order than a
-per-node, per-feature sort would sum it, so the trees are the same bit
-for bit; a histogram search would not keep that, since summing per bin
-reorders the additions and flips near-exact ties between features.
+of exact greedy in XGBoost, Chen & Guestrin, KDD 2016). Every node owns
+partitioned node arrays: its rows in each column's sorted order (F, m),
+their values, and the same rows ascending. A split hands each child its
+members of every column with one stable partition, already sorted, so a
+node costs work in its own size, not the training set's. At a node:
+
+- the gain is evaluated only at cut positions, where a column's sorted
+  value changes, taken in feature-major order;
+- one complex prefix sum of g + i*h per column gives the gradient sums in
+  its real part and the hessian sums in its imaginary part; complex
+  addition is two independent float additions, so both equal the two
+  separate prefix sums bit for bit;
+- a node with H < 2 * min_child_weight becomes a leaf without a search.
+  That is exact: if hl >= mcw and hl <= H < 2*mcw <= 2*hl, Sterbenz's
+  lemma makes H - hl exact, so hr = H - hl < mcw; if hl > H, hr < 0.
+
+Growth records each training row's leaf weight, and the training margins
+advance by those: a row at or below the threshold sits at a sorted
+position up to the cut, so the rows routed are the ones Tree.predict
+routes. No float is summed in a different order than a per-node,
+per-feature sort would sum it, and node sums stay pairwise sums over the
+ascending rows, so the trees are the same bit for bit; a histogram search
+would not keep that, since summing per bin reorders the additions and
+flips near-exact ties between features.
 """
 
 from __future__ import annotations
@@ -147,6 +164,28 @@ class Tree:
         tree.value = [float(v) for v in d["value"]]
         return tree
 
+    def fault(self, n_features: int) -> str | None:
+        """Why this tree cannot be evaluated safely, or None. Nodes are
+        numbered in pre-order, so every child follows its parent; that
+        also rules out cycles."""
+        sizes = [len(a) for a in (self.feature, self.threshold, self.children_left,
+                                  self.children_right, self.value)]
+        n = sizes[0]
+        if n == 0 or sizes.count(n) != 5:
+            return f"node arrays must be non-empty and of equal length, got {sizes}"
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.value).all()):
+            return "non-finite threshold or value"
+        nodes = zip(self.feature, self.children_left, self.children_right)
+        for node, (f, left, right) in enumerate(nodes):
+            if f == -1:
+                if (left, right) != (-1, -1):
+                    return f"leaf {node} has children {left}, {right}"
+            elif not 0 <= f < n_features:
+                return f"node {node} splits on feature {f}, model has {n_features}"
+            elif not (node < left < n and node < right < n):
+                return f"node {node} has children {left}, {right} outside ({node}, {n})"
+        return None
+
 
 def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each column's stable row order (F, n) and its sorted values (F, n)."""
@@ -154,61 +193,61 @@ def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return S, np.take_along_axis(X.T, S, axis=1)
 
 
-def _best_split(
-    S: np.ndarray, XS: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray, cfg: TrainConfig
-) -> tuple[float, int, float] | None:
+def _best_split(rows: np.ndarray, xs: np.ndarray, gh: np.ndarray, idx: np.ndarray,
+                cfg: TrainConfig) -> tuple[float, int, float] | None:
     """Exact greedy search over all features and distinct thresholds at once.
 
-    S holds each column's stable row order (F, n) and XS the matching
-    sorted values; idx holds the node's rows in ascending order. Keeping
-    the node's members of every column's global order gives exactly the
-    order a per-node stable argsort would, so the prefix sums, and with
-    them every gain, are the same bit for bit. The flat argmax returns
-    the first maximum: lowest feature, then lowest threshold.
+    rows (F, m) holds the node's rows in each column's stable sorted order,
+    xs their values and idx the same rows ascending; gh = g + i*h per row.
+    Gains at cut positions in feature-major order: the flat argmax returns
+    the first maximum, lowest feature, then lowest threshold. The early
+    exit on H is exact (module docstring).
     """
-    G = g[idx].sum()
-    H = h[idx].sum()
-    lam = cfg.reg_lambda
-    parent = G * G / (H + lam)
-    F, m = S.shape[0], idx.shape[0]
-    member = np.zeros(S.shape[1], dtype=bool)
-    member[idx] = True
-    keep = member[S]
-    rows = S[keep].reshape(F, m)
-    xs = XS[keep].reshape(F, m)
-    gl = np.cumsum(g[rows], axis=1)[:, :-1]
-    hl = np.cumsum(h[rows], axis=1)[:, :-1]
-    gr, hr = G - gl, H - hl
-    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent) - cfg.gamma
-    cut = xs[:, 1:] != xs[:, :-1]
-    ok = cut & (hl >= cfg.min_child_weight) & (hr >= cfg.min_child_weight) & (gain > 0.0)
+    lam, mcw = cfg.reg_lambda, cfg.min_child_weight
+    H = gh.imag[idx].sum()
+    if H < 2 * mcw:
+        return None
+    G = gh.real[idx].sum()
+    cut = np.flatnonzero(xs[:, 1:] != xs[:, :-1])
+    f, j = divmod(cut, xs.shape[1] - 1)
+    c = gh[rows]
+    c = np.cumsum(c, axis=1, out=c).ravel()[cut + f]
+    gl, hl, gr, hr = c.real, c.imag, G - c.real, H - c.imag
+    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam)) - cfg.gamma
+    ok = (hl >= mcw) & (hr >= mcw) & (gain > 0.0)
     if not ok.any():
         return None
-    f, j = np.unravel_index(np.argmax(np.where(ok, gain, -np.inf)), ok.shape)
-    return float(gain[f, j]), int(f), float(xs[f, j])
+    k = np.argmax(np.where(ok, gain, -np.inf))
+    return float(gain[k]), int(f[k]), float(xs[f[k], j[k]])
 
 
-def _grow(
-    X: np.ndarray, S: np.ndarray, XS: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig
-) -> Tree:
-    tree = Tree()
+def _grow(S: np.ndarray, XS: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig):
+    """One tree, and the leaf weight of every training row."""
+    tree, n = Tree(), g.shape[0]
+    gh = np.column_stack((g, h)).view(np.complex128).ravel()
+    leaf, side = np.empty(n), np.zeros(n, dtype=bool)
 
-    def build(idx: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, xs: np.ndarray, idx: np.ndarray, depth: int) -> int:
         node = tree._new_node()
-        split = _best_split(S, XS, g, h, idx, cfg) if depth < cfg.max_depth else None
+        split = _best_split(rows, xs, gh, idx, cfg) if depth < cfg.max_depth else None
         if split is None:
-            tree.value[node] = -g[idx].sum() / (h[idx].sum() + cfg.reg_lambda)
+            leaf[idx] = tree.value[node] = -g[idx].sum() / (h[idx].sum() + cfg.reg_lambda)
             return node
         _, f, thr = split
-        tree.feature[node] = f
-        tree.threshold[node] = thr
-        left = X[idx, f] <= thr
-        tree.children_left[node] = build(idx[left], depth + 1)
-        tree.children_right[node] = build(idx[~left], depth + 1)
+        tree.feature[node], tree.threshold[node] = f, thr
+        side[rows[f][xs[f] <= thr]] = True
+        keep, left = side[rows].ravel(), side[idx]
+        side[idx] = False
+        F, rows, xs = rows.shape[0], rows.ravel(), xs.ravel()
+        # integer takes keep each column's order and beat a 2-d boolean mask
+        (lr, lx), (rr, rx) = [(rows[at].reshape(F, -1), xs[at].reshape(F, -1))
+                              for at in (np.flatnonzero(keep), np.flatnonzero(~keep))]
+        tree.children_left[node] = build(lr, lx, idx[left], depth + 1)
+        tree.children_right[node] = build(rr, rx, idx[~left], depth + 1)
         return node
 
-    build(np.arange(X.shape[0]), 0)
-    return tree
+    build(S, XS, np.arange(n), 0)
+    return tree, leaf
 
 
 @dataclass
@@ -273,7 +312,7 @@ class GbdtModel:
         try:
             cfg_raw = dict(doc["config"])
             config = TrainConfig(**cfg_raw)
-            return cls(
+            model = cls(
                 config=config,
                 base_margin=float(doc["base_margin"]),
                 trees=[Tree.from_dict(t) for t in doc["trees"]],
@@ -281,8 +320,13 @@ class GbdtModel:
                 eval_history={k: [float(v) for v in vs] for k, vs in doc["eval_history"].items()},
                 best_round=doc.get("best_round"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"{path}: malformed model document: {exc}") from None
+        for k, tree in enumerate(model.trees):
+            fault = tree.fault(len(model.feature_names))
+            if fault:
+                raise ModelFormatError(f"{path}: tree {k}: {fault}")
+        return model
 
 
 def _check_data(X: np.ndarray, y: np.ndarray, what: str) -> None:
@@ -341,9 +385,9 @@ def train(
     best_loss = np.inf
     for _ in range(config.num_round):
         g, h = grad_hess(margin, y)
-        tree = _grow(X, S, XS, g, h, config)
+        tree, leaf = _grow(S, XS, g, h, config)
         trees.append(tree)
-        margin += config.eta * tree.predict(X)
+        margin += config.eta * leaf
         history["train"].append(logloss(margin, y))
         if valid is not None:
             vmargin += config.eta * tree.predict(Xv)

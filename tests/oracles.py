@@ -295,9 +295,15 @@ def tree_predict_oracle(tree, X):
     return out
 
 
-def boost_oracle(X, y, cfg):
-    """The trees of a logloss boosting run without validation data, each
-    grown by grow_oracle."""
+def logloss_oracle(margin, y):
+    p = np.clip(1.0 / (1.0 + np.exp(-margin)), 1e-15, 1.0 - 1e-15)
+    return float((-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))).mean())
+
+
+def boost_oracle(X, y, cfg, valid=None):
+    """Trees, eval_history and best_round of a logloss boosting run: each
+    tree grown by grow_oracle, training and validation margins advanced by
+    tree_predict_oracle, and validation data driving early stopping."""
     rate = float(y.mean())
     if cfg.base_margin is not None:
         base = float(cfg.base_margin)
@@ -306,13 +312,31 @@ def boost_oracle(X, y, cfg):
     else:
         base = float(np.clip(np.log(rate / (1.0 - rate)), -10.0, 10.0))
     margin = np.full(X.shape[0], base)
+    history = {"train": []}
+    if valid is not None:
+        Xv, yv = valid
+        vmargin = np.full(Xv.shape[0], base)
+        history["valid"] = []
     trees = []
+    best_round, best_loss, patience = None, np.inf, cfg.early_stopping_rounds
     for _ in range(cfg.num_round):
         p = 1.0 / (1.0 + np.exp(-margin))
         tree = grow_oracle(X, p - y, p * (1.0 - p), cfg)
         trees.append(tree)
         margin += cfg.eta * tree_predict_oracle(tree, X)
-    return trees
+        history["train"].append(logloss_oracle(margin, y))
+        if valid is None:
+            continue
+        vmargin += cfg.eta * tree_predict_oracle(tree, Xv)
+        history["valid"].append(logloss_oracle(vmargin, yv))
+        if history["valid"][-1] < best_loss:
+            best_loss, best_round = history["valid"][-1], len(trees)
+        elif patience and len(trees) - (best_round or 0) >= patience:
+            break
+    if valid is not None and patience and best_round is not None:
+        trees = trees[:best_round]
+        history = {k: v[:best_round] for k, v in history.items()}
+    return trees, history, best_round
 
 
 # ---------------------------------------------------------------- features

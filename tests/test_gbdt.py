@@ -159,6 +159,16 @@ def split_fixture(rng, n):
     return np.column_stack(cols)[:, rng.permutation(len(cols))]
 
 
+def node_split(X, g, h, idx, cfg):
+    """_best_split on the node arrays growth would hand the node idx: its
+    members of each column's presorted order, with their sorted values."""
+    S, XS = _presort(X)
+    keep = np.isin(S, idx)
+    F, m = S.shape[0], idx.shape[0]
+    gh = np.column_stack((g, h)).view(np.complex128).ravel()
+    return _best_split(S[keep].reshape(F, m), XS[keep].reshape(F, m), gh, idx, cfg)
+
+
 class TestSplitSearchMatchesOracle:
     @pytest.mark.parametrize("min_child_weight", [0.0, 0.5, 2.0])
     def test_node_by_node_bit_equal(self, min_child_weight):
@@ -177,12 +187,53 @@ class TestSplitSearchMatchesOracle:
             idx = np.sort(rng.choice(n, m, replace=False))
             cfg = TrainConfig(min_child_weight=min_child_weight, gamma=(0.0, 0.5)[seed % 3 == 0],
                               reg_lambda=(1.0, 0.0)[seed % 4 == 0])
-            S, XS = _presort(X)
-            got = _best_split(S, XS, g, h, idx, cfg)
+            got = node_split(X, g, h, idx, cfg)
             want = best_split_oracle(X, g, h, idx, cfg)
             assert got == want, f"seed {seed}"
             found += got is not None
         assert found >= 50
+
+    @staticmethod
+    def edge_node(case):
+        """(X, g, h, idx, cfg, whether a split exists) for one edge case."""
+        rng = np.random.default_rng(7)
+        g, h = rng.normal(size=8), np.full(8, 0.25)  # H = 2.0 over all 8 rows
+        cfg = TrainConfig(min_child_weight=0.5, gamma=0.0)
+        X = np.column_stack([np.full(8, 4.0), np.arange(8.0)])
+        idx, found = np.arange(8), True
+        if case == "constant column":
+            pass
+        elif case == "all tied":
+            X[:, 1] = 1.0
+            found = False
+        elif case == "signed zeros":
+            # the best cut leaves row 2 alone; the stable order ends the
+            # zeros on row 7's -0.0, which becomes the threshold
+            X[:, 1] = [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0, -0.0]
+            g[2], cfg.min_child_weight = 4.0, 0.25
+        elif case == "two rows":
+            idx = np.array([2, 5])
+            g[2], g[5], cfg.min_child_weight = 1.0, -1.0, 0.25
+        elif case == "zero child weight":
+            cfg.min_child_weight = 0.0
+        else:
+            # H = 2 * min_child_weight exactly at 1.0; the only admissible
+            # split there puts four rows on each side
+            cfg.min_child_weight = {"H below": np.nextafter(1.0, 2.0), "H at": 1.0,
+                                    "H above": np.nextafter(1.0, 0.0)}[case]
+            g = np.array([1.0, 1, 1, 1, -1, -1, -1, -1])
+            found = case != "H below"
+        return X, g, h, idx, cfg, found
+
+    @pytest.mark.parametrize("case", ["constant column", "all tied", "signed zeros", "two rows",
+                                      "zero child weight", "H below", "H at", "H above"])
+    def test_edge_nodes_bit_equal(self, case):
+        X, g, h, idx, cfg, found = self.edge_node(case)
+        got = node_split(X, g, h, idx, cfg)
+        want = best_split_oracle(X, g, h, idx, cfg)
+        # repr tells -0.0 from 0.0 in the threshold
+        assert repr(got) == repr(want)
+        assert (got is not None) == found
 
     def test_same_partition_tie_goes_to_lowest_feature(self):
         x = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 3.0])
@@ -190,8 +241,7 @@ class TestSplitSearchMatchesOracle:
         g = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
         h = np.full(6, 0.25)
         cfg = TrainConfig(min_child_weight=0.0, gamma=0.0)
-        S, XS = _presort(X)
-        gain, f, thr = _best_split(S, XS, g, h, np.arange(6), cfg)
+        gain, f, thr = node_split(X, g, h, np.arange(6), cfg)
         assert (gain, f, thr) == best_split_oracle(X, g, h, np.arange(6), cfg)
         assert f == 0 and thr == -1.0  # x <= 0, written in column 0's values
 
@@ -204,8 +254,27 @@ class TestSplitSearchMatchesOracle:
             cfg = TrainConfig(num_round=4, max_depth=int(rng.integers(1, 6)),
                               min_child_weight=(0.0, 0.5, 2.0)[seed % 3],
                               gamma=(0.0, 0.5)[seed % 2])
-            got = [t.to_dict() for t in train(X, y, cfg).trees]
+            model = train(X, y, cfg)
+            got = [t.to_dict() for t in model.trees], model.eval_history, model.best_round
             assert got == boost_oracle(X, y, cfg), f"seed {seed}"
+
+    def test_train_with_validation_bit_equal_to_oracle(self):
+        stopped = 0
+        for seed in range(40):
+            rng = np.random.default_rng(2000 + seed)
+            n, nv = int(rng.integers(2, 60)), int(rng.integers(1, 40))
+            X = split_fixture(rng, n + nv)
+            y = (X[:, 2] + rng.normal(scale=2.0, size=n + nv) > 0).astype(float)
+            cfg = TrainConfig(num_round=25, max_depth=int(rng.integers(1, 5)),
+                              min_child_weight=(0.0, 0.5, 2.0)[seed % 3],
+                              gamma=(0.0, 0.5)[seed % 2],
+                              early_stopping_rounds=(None, 1, 3)[seed % 3 - 1])
+            valid = X[n:], y[n:]
+            model = train(X[:n], y[:n], cfg, valid=valid)
+            got = [t.to_dict() for t in model.trees], model.eval_history, model.best_round
+            assert got == boost_oracle(X[:n], y[:n], cfg, valid=valid), f"seed {seed}"
+            stopped += len(model.trees) < cfg.num_round
+        assert stopped >= 10
 
 
 class TestValidation:
@@ -388,6 +457,51 @@ class TestSerialization:
         doc["config"]["seed"] = 0
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="unsupported model version 1"):
+            GbdtModel.load(path)
+
+    # case -> (tree array, node, new value or None to drop it, error message)
+    MALFORMED = {
+        "self child": ("left", 0, 0, r"node 0 has children 0, 2 outside \(0, 3\)"),
+        "child past end": ("right", 0, 3, r"node 0 has children 1, 3 outside \(0, 3\)"),
+        "feature out of range": ("feature", 0, 7, r"node 0 splits on feature 7, model has 3"),
+        "negative feature": ("feature", 0, -2, r"node 0 splits on feature -2, model has 3"),
+        "leaf with child": ("left", 2, 0, r"leaf 2 has children 0, -1"),
+        "short value": ("value", 2, None, r"node arrays .* equal length, got \[3, 3, 3, 3, 2\]"),
+        "empty tree": (None, None, None, r"node arrays must be non-empty"),
+        "nan threshold": ("threshold", 0, float("nan"), r"non-finite threshold or value"),
+        "infinite value": ("value", 1, float("inf"), r"non-finite threshold or value"),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_tree_rejected(self, tmp_path, case):
+        key, node, value, match = self.MALFORMED[case]
+        X = np.array([[0.0, 1, 2], [1, 0, 2], [2, 1, 0], [3, 0, 0]])
+        y = np.array([0.0, 0, 1, 1])
+        model = train(X, y, TrainConfig(num_round=2, min_child_weight=0.0, gamma=0.0))
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        tree = doc["trees"][1] = {"feature": [0, -1, -1], "threshold": [1.0, 0.0, 0.0],
+                                  "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -0.5, 0.5]}
+        if key is None:
+            for k in tree:
+                tree[k] = []
+        elif value is None:
+            del tree[key][node]
+        else:
+            tree[key][node] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=rf"model\.json: tree 1: {match}"):
+            GbdtModel.load(path)
+
+    def test_non_numeric_tree_cell_rejected(self, tmp_path):
+        model, _ = self.make_model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        doc["trees"][0]["value"][0] = "abc"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="malformed model document: could not convert"):
             GbdtModel.load(path)
 
     def test_missing_field_rejected(self, tmp_path):
