@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+import math
 from datetime import date
 from operator import attrgetter
 from pathlib import Path
@@ -75,10 +76,19 @@ def _kind(raw: str) -> InteractionKind:
     return kind
 
 
+def _coordinate(raw: str) -> float | None:
+    if not raw:
+        return None
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite coordinate, got {raw!r}")
+    return value
+
+
 INT = Cell(int, str)
 OPT_INT = Cell(lambda raw: int(raw) if raw else 0, str)
 OPT_TIMESTAMP = Cell(lambda raw: int(raw) if raw else None, lambda v: "" if v is None else str(v))
-OPT_FLOAT = Cell(lambda raw: float(raw) if raw else None, lambda v: "" if v is None else repr(v))
+OPT_FLOAT = Cell(_coordinate, lambda v: "" if v is None else repr(v))
 ID_SET = Cell(_ids, lambda s: ",".join([str(t) for t in sorted(s)]))
 ID_LIST = Cell(lambda raw: [int(tok) for tok in raw.split(",")],
                lambda ids: ",".join([str(i) for i in ids]))

@@ -7,6 +7,7 @@ stored as 0, missing coordinates/created_at as None.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
@@ -65,6 +66,11 @@ class Item:
             raise ValueError(
                 f"item {self.id}: latitude and longitude must be both present or both missing"
             )
+        if self.latitude is not None and not (
+            math.isfinite(self.latitude) and math.isfinite(self.longitude)
+        ):
+            raise ValueError(f"item {self.id}: latitude and longitude must be finite, got "
+                             f"{self.latitude}, {self.longitude}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,9 @@ in the schema (-1 unless noted).
 from __future__ import annotations
 
 import zipfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import attrgetter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -26,7 +28,7 @@ import numpy as np
 from .candidates import SLOT_NAMES, CandidateList
 from .dataio import DataFormatError
 from .entities import DAY_SECONDS, Dataset, GroundTruth, InteractionKind, POSITIVE_KINDS
-from .index import ATTRS, GEO_SENTINEL, SENTINEL
+from .index import ATTRS, GEO_SENTINEL, SENTINEL, TOKEN_FIELDS
 
 # arrays a feature-matrix archive must hold to load; "labels" is optional
 _MATRIX_ARRAYS = ("user_ids", "item_ids", "values", "names", "groups", "sentinels")
@@ -202,13 +204,78 @@ class FeatureMatrix:
             raise DataFormatError(f"{path}: {exc}") from None
 
 
-class FeatureExtractor:
-    """Computes feature blocks per user over one dataset variant.
+# (row, source item) and (row, item user) pairs one `block` call expands at
+# most; `build_matrix` cuts its rows into calls of whole users under it.
+# The pair arrays of one call peak at about 12 bytes a pair, under 1 MB.
+PAIR_BUDGET = 1 << 16
 
-    `block` gathers the candidates' rows of the variant's item arrays
-    (`Dataset.index`) and combines them with the user's through matrix
-    products and broadcasts. Indicators are stored as uint8 and cast to
-    float64 per block, so every product sums small integers exactly.
+_SLOT_OF = {slot: k for k, slot in enumerate(SLOT_NAMES)}
+_WEEK = attrgetter("week")
+
+
+def _csr(lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pointers and concatenated members of integer lists."""
+    ptr = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum([len(x) for x in lists], out=ptr[1:])
+    return ptr, np.fromiter(chain.from_iterable(lists), dtype=np.int32, count=ptr[-1])
+
+
+def _segments(ptr: np.ndarray, flat: np.ndarray, owner: np.ndarray):
+    """Row r's segment of a pair list holds flat[ptr[owner[r]]:ptr[owner[r] + 1]].
+
+    Returns the members, and each row's segment start and length; a
+    per-row value v spreads to the pairs as np.repeat(v, lens). Builds one
+    int32 step array whose running sum is the flat position of every pair.
+    """
+    assert len(flat) < 2**31
+    lo = ptr[owner]
+    lens = ptr[owner + 1] - lo
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    full = lens > 0
+    first, last = lo[full], (lo + lens - 1)[full]
+    step = np.ones(ends[-1] if len(ends) else 0, dtype=np.int32)
+    step[starts[full]] = first - np.concatenate(([0], last[:-1]))
+    return flat[np.cumsum(step, out=step)], starts, lens
+
+
+def _reduce(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+            empty: float = SENTINEL, dtype=None) -> np.ndarray:
+    """ufunc over each row's segment of the last axis of `values`, as
+    float64; `empty` where the segment is empty (reduceat would return the
+    next segment's first value)."""
+    out = np.full((*values.shape[:-1], len(lens)), empty)
+    full = lens > 0
+    out[..., full] = ufunc.reduceat(values, starts[full], axis=-1, dtype=dtype)
+    return out
+
+
+def _count(mask: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Ones per row segment of a bool or 0/1 uint8 `mask`'s last axis, as float64. The
+    sum runs in the smallest dtype that holds the longest segment: a
+    reduceat into int64 would first copy the whole mask to int64."""
+    dtype = np.min_scalar_type(lens.max(initial=0))
+    return _reduce(np.add, mask.view(np.uint8), starts, lens, 0.0, dtype=dtype)
+
+
+def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """count / total in float64, SENTINEL where total is 0."""
+    out = np.full(np.broadcast(count, total).shape, SENTINEL)
+    return np.divide(count, total, out=out, where=total > 0)
+
+
+class FeatureExtractor:
+    """Computes feature rows of (user, candidate item) pairs over one dataset variant.
+
+    `block` takes the pairs of any number of users and makes a number of
+    numpy calls that does not grow with them. Row-wise columns are one
+    gather from the variant's item arrays (`Dataset.index`) or one Python
+    pass over the rows. Columns that reduce over a user's items or an
+    item's users are `reduceat` over (row, source item) or (row, item user)
+    pair lists, whose values come from the index's exact integer count
+    tables: item x item co-users and token overlap, item x attribute-value
+    user counts, user x user shared items and job roles. Every fraction is
+    one float64 division of two exact integers.
 
     Assumes referential integrity: every event references a user and item
     present in the entity tables (the loader enforces this; the synthesizer
@@ -228,26 +295,13 @@ class FeatureExtractor:
     # -------------------------------------------------------- per-user state
 
     def _user_state(self, user_id: int) -> dict:
-        ix = self.index
-        events = self.events.interactions_of(user_id)
+        ix, ev = self.index, self.events
+        events = ev.interactions_of(user_id)
         positive = [e for e in events if e.kind in POSITIVE_KINDS]
-        imps = self.events.impressions_of(user_id)
-
-        last_ts: dict[int, int] = {}
-        for e in positive:
-            last_ts[e.item_id] = e.timestamp
-        last_any = positive[-1].timestamp if positive else None
-
-        last_imp_week: dict[int, int] = {}
-        for im in imps:
-            last_imp_week[im.item_id] = im.week
-        last_any_imp = max(last_imp_week.values()) if last_imp_week else None
-
-        kind_counts = {k: 0 for k in InteractionKind}
-        for e in events:
-            kind_counts[e.kind] += 1
-
+        imps = ev.impressions_of(user_id)  # sorted by week
         pos_ts = [e.timestamp for e in positive]
+        last_any = pos_ts[-1] if positive else None
+        last_any_imp = imps[-1].week if imps else None
 
         def window_counts(anchor: int | None) -> dict[int, int]:
             if anchor is None:
@@ -259,215 +313,246 @@ class FeatureExtractor:
                 out[e.item_id] = out.get(e.item_id, 0) + 1
             return out
 
-        int_items = sorted(self.events.int_items(user_id))
-        imp_items = sorted(self.events.imp_items(user_id))
-        week_lo = ix.now - 7 * DAY_SECONDS
-        imp_week_events = [im for im in imps if im.week == ix.now_week]
-
-        try:
-            rows = {src: np.array([ix.row_of[i] for i in its], dtype=np.int64)
-                    for src, its in (("int", int_items), ("imp", imp_items))}
-        except KeyError as exc:
-            raise ValueError(f"user {user_id} has events on item {exc.args[0]}, "
-                             "which is not in the item table") from None
+        int_items, imp_items = ev.int_items(user_id), ev.imp_items(user_id)
+        for items in (int_items, imp_items):
+            if not ix.row_of.keys() >= items:
+                missing = min(i for i in items if i not in ix.row_of)
+                raise ValueError(f"user {user_id} has events on item {missing}, "
+                                 "which is not in the item table")
 
         cluster_hits: set[int] = set()
         for i in int_items:
             cluster_hits |= ix.cluster.neighbors(i)
 
+        # the data-anchored window is the last week, (now - 7 days, now]
+        uir_data = window_counts(ix.now)
+        kinds = [e.kind for e in events]
+        imp_week = [im.item_id for im in imps[bisect_left(imps, ix.now_week, key=_WEEK):]]
+        columns = {
+            "act_int_events": float(len(positive)),
+            "act_int_unique": float(len(int_items)),
+            "act_int_events_week": float(sum(uir_data.values())),
+            "act_int_unique_week": float(len(uir_data)),
+            "act_imp_events": float(len(imps)),
+            "act_imp_unique": float(len(imp_items)),
+            "act_imp_events_week": float(len(imp_week)),
+            "act_imp_unique_week": float(len(set(imp_week))),
+            **{f"act_{k.name.lower()}": float(kinds.count(k)) for k in InteractionKind},
+            "rec_user_seconds": float(ix.now - last_any) if last_any is not None else SENTINEL,
+            "rec_user_weeks": (
+                float(ix.now_week - last_any_imp) if last_any_imp is not None else SENTINEL
+            ),
+        }
         return {
-            "last_ts": last_ts,
+            "columns": columns,
+            "last_ts": {e.item_id: e.timestamp for e in positive},
             "last_any": last_any,
-            "last_imp_week": last_imp_week,
+            "last_imp_week": {im.item_id: im.week for im in imps},
             "last_any_imp": last_any_imp,
-            "kind_counts": kind_counts,
             "uir_user": window_counts(last_any),
-            "uir_data": window_counts(ix.now),
-            "rows": rows,
-            "act": {
-                "int_events": float(len(positive)),
-                "int_unique": float(len(int_items)),
-                "int_events_week": float(sum(1 for t in pos_ts if week_lo < t <= ix.now)),
-                "int_unique_week": float(
-                    len({e.item_id for e in positive if week_lo < e.timestamp <= ix.now})
-                ),
-                "imp_events": float(len(imps)),
-                "imp_unique": float(len(imp_items)),
-                "imp_events_week": float(len(imp_week_events)),
-                "imp_unique_week": float(len({im.item_id for im in imp_week_events})),
-            },
+            "uir_data": uir_data,
             "cluster_hits": cluster_hits,
             "user": self.dataset.users.get(user_id),
         }
 
-    # ---------------------------------------------------------- block pieces
-
-    def _cf_columns(self, src: str, rows: np.ndarray, src_rows: np.ndarray, user_id: int):
-        """cf_item and cf_user for one source, as two (n,) columns.
-
-        cf_item: max Jaccard over users between the candidate and each of
-        the user's items, self-pairs excluded. cf_user: max Jaccard over
-        items between the user and each other user of the candidate.
-        """
-        ix = self.index
-        mat, deg, user_deg = ix.item_users[src]
-        # users sharing an item with this user; every other user scores 0
-        shared = mat[src_rows].sum(axis=0, dtype=np.int64)
-        near = np.flatnonzero(shared)
-        cand_near = mat[np.ix_(rows, near)].astype(np.float64)
-
-        if len(src_rows):
-            inter = cand_near @ mat[np.ix_(src_rows, near)].astype(np.float64).T
-            union = deg[rows][:, None] + deg[src_rows][None, :] - inter
-            with np.errstate(invalid="ignore", divide="ignore"):
-                jac = np.where(union > 0, inter / union, 0.0)
-            self_mask = rows[:, None] == src_rows[None, :]
-            jac = np.where(self_mask, -np.inf, jac)
-            valid = len(src_rows) - self_mask.sum(axis=1)
-            cf_item = np.where(valid > 0, jac.max(axis=1), SENTINEL)
-        else:
-            cf_item = np.full(len(rows), SENTINEL)
-
-        c = shared[near]
-        sims = c / (len(src_rows) + user_deg[near] - c)
-        others = deg[rows]
-        me = ix.user_row.get(user_id)
-        if me is not None:
-            others = others - mat[rows, me]
-            sims[near == me] = 0.0
-        # sims >= 0, so the zeros of non-members never exceed the members' max
-        cf_user = np.where(others > 0, (cand_near * sims).max(axis=1, initial=0.0), SENTINEL)
-        return cf_item, cf_user
-
     # ------------------------------------------------------------ main block
 
-    def block(self, user_id: int, items: Sequence[int]) -> np.ndarray:
-        cl = self.candidates.get(user_id)
-        if cl is None:
-            raise ValueError(f"user {user_id} has no candidate list")
-        for i in items:
-            if i not in cl:
-                raise ValueError(f"pair ({user_id}, {i}) is not in the candidate list")
-
-        schema = self.schema
-        ix = self.index
-        n = len(items)
-        out = np.empty((n, len(schema)), dtype=np.float64)
-        state = self._user_state(user_id)
-        user = state["user"]
+    def block(self, pairs: Sequence[tuple[int, int]], out: np.ndarray | None = None) -> np.ndarray:
+        """Feature rows of (user, item) pairs, in the given order, written
+        into `out` (a (len(pairs), features) float64 array) when given."""
+        schema, ix = self.schema, self.index
         col = schema.index
+        n = len(pairs)
+        if out is None:
+            out = np.empty((n, len(schema)), dtype=np.float64)
+        if not n:
+            return out
 
-        cand_ids = [int(i) for i in items]
-        rows = np.array([ix.row_of[i] for i in cand_ids], dtype=np.int64)
+        slot_of: dict[int, int] = {}
+        owner_list, ranks = [], []
+        for u, i in pairs:
+            cl = self.candidates.get(u)
+            if cl is None:
+                raise ValueError(f"user {u} has no candidate list")
+            if i not in cl:
+                raise ValueError(f"pair ({u}, {i}) is not in the candidate list")
+            owner_list.append(slot_of.setdefault(u, len(slot_of)))
+            ranks.append(cl.ranks[i])
+        states = [self._user_state(u) for u in slot_of]
+        owner = np.array(owner_list, dtype=np.int64)  # each row's user, as an index of `states`
+        cand_ids = [int(i) for _, i in pairs]
+        rows = np.array([ix.row_of[i] for i in cand_ids], dtype=np.int32)
         attrs = ix.attrs[rows]
-        tags, title = ix.tokens[:, rows].astype(np.float64)
-        u_attrs = np.array([getattr(user, a) if user else 0 for a in ATTRS], dtype=np.int64)
-        jroles = user.jobroles if user else frozenset()
+        users = [st["user"] for st in states]
+        u_attrs = np.array([[getattr(p, a) if p else 0 for a in ATTRS] for p in users],
+                           dtype=np.int64).reshape(len(users), len(ATTRS))
+        user_rows = np.array([ix.user_row.get(u, -1) for u in slot_of], dtype=np.int64)
+        me = user_rows[owner].astype(np.int32)
 
-        # ---- event_match + common_tokens (token side, both sources)
-        for src in ("int", "imp"):
-            src_rows = state["rows"][src]
-            attr_cols = [col(f"match_{src}_{a}") for a in ATTRS]
-            token_cols = [col(f"match_{src}_tags"), col(f"match_{src}_title")]
-            common_cols = [col(f"common_tags_{src}"), col(f"common_title_{src}")]
-            if not len(src_rows):
-                out[:, attr_cols + token_cols + common_cols] = SENTINEL
-                continue
-            out[:, attr_cols] = (attrs[:, None, :] == ix.attrs[src_rows]).mean(axis=1)
-            for k, (field, cand) in enumerate(zip(ix.tokens, (tags, title))):
-                overlap = cand @ field[src_rows].astype(np.float64).T
-                out[:, token_cols[k]] = (overlap > 0).mean(axis=1)
-                out[:, common_cols[k]] = overlap.max(axis=1)
+        # ---- user-level columns: one gather of the users' values
+        names = list(states[0]["columns"])
+        out[:, [col(c) for c in names]] = np.array(
+            [[st["columns"][c] for c in names] for st in states])[owner]
 
-        # ---- event_match, user side: shares of the candidate's users with
-        # the user's attribute values, and sharing one of the user's job roles
-        role_col, roles = ix.jobroles
-        shares_role = roles[:, [role_col[t] for t in jroles]].any(axis=1)
-        alike = np.column_stack([ix.user_attrs == u_attrs, shares_role]).astype(np.float64)
-        mat, deg, _ = ix.item_users["int"]
-        deg = deg[rows][:, None]
-        user_cols = [col(f"match_users_{a}") for a in ATTRS] + [col("match_users_jobroles")]
-        out[:, user_cols] = np.divide(
-            mat[rows].astype(np.float64) @ alike,
-            deg,
-            out=np.full((n, len(user_cols)), SENTINEL),
-            where=deg > 0,
-        )
+        # ---- candidate positions, recency, recent counts, cluster: passes over the rows
+        pos_cols = np.array([col(f"pos_{slot}") for slot in SLOT_NAMES])
+        out[:, pos_cols] = SENTINEL
+        ranked = [(r, _SLOT_OF[s], k) for r, rk in enumerate(ranks) for s, k in rk.items()]
+        r, s, k = np.array(ranked, dtype=np.int64).reshape(-1, 3).T
+        del ranked
+        out[r, pos_cols[s]] = k
+        row_states = [states[b] for b in owner_list]
+        ts = [st["last_ts"].get(i) for st, i in zip(row_states, cand_ids)]
+        wk = [st["last_imp_week"].get(i) for st, i in zip(row_states, cand_ids)]
+        now, now_week = ix.now, ix.now_week
+        out[:, col("rec_item_seconds")] = [
+            float(now - t) if t is not None else SENTINEL for t in ts]
+        out[:, col("rec_item_vs_last_seconds")] = [
+            float(st["last_any"] - t) if t is not None else SENTINEL
+            for st, t in zip(row_states, ts)]
+        out[:, col("rec_item_weeks")] = [
+            float(now_week - w) if w is not None else SENTINEL for w in wk]
+        out[:, col("rec_item_vs_last_weeks")] = [
+            float(st["last_any_imp"] - w) if w is not None else SENTINEL
+            for st, w in zip(row_states, wk)]
+        out[:, col("uir_user_week")] = [
+            float(st["uir_user"].get(i, 0)) for st, i in zip(row_states, cand_ids)]
+        out[:, col("uir_data_week")] = [
+            float(st["uir_data"].get(i, 0)) for st, i in zip(row_states, cand_ids)]
+        out[:, col("cluster_hit")] = [
+            1.0 if i in st["cluster_hits"] else 0.0 for st, i in zip(row_states, cand_ids)]
 
         # ---- popularity and item properties
         out[:, self._item_cols] = self._item_block[rows]
 
-        # ---- cf similarity
+        # ---- event_match, common_tokens, cf_item and cf_user, per source;
+        # pair arrays are updated in place and dropped early, since they
+        # set the call's peak memory
+        codes, width = ix.attr_codes
+        n_items, n_users = len(ix.item_ids), len(ix.user_row)
         for src in ("int", "imp"):
-            cf_item, cf_user = self._cf_columns(src, rows, state["rows"][src], user_id)
-            out[:, col(f"cf_item_{src}")] = cf_item
-            out[:, col(f"cf_user_{src}")] = cf_user
+            # the users' items; a user missing from the user table reads the empty last row
+            lists = ix.user_item_lists[src]
+            empty_row = len(lists[0]) - 2
+            flat, _, n_src = _segments(*lists, np.where(user_rows < 0, empty_row, user_rows))
+            ptr = np.zeros(len(states) + 1, dtype=np.int64)
+            np.cumsum(n_src, out=ptr[1:])
+            flat_owner = np.repeat(np.arange(len(states)), n_src)
+            # each user's items per attribute value, looked up at the candidate's value
+            same = np.bincount((flat_owner[:, None] * width + codes[flat]).ravel(),
+                               minlength=len(states) * width)
+            out[:, [col(f"match_{src}_{a}") for a in ATTRS]] = _share(
+                same[owner[:, None] * width + codes[rows]], n_src[owner, None])
 
-        # ---- user activity
-        for name, value in state["act"].items():
-            out[:, col(f"act_{name}")] = value
-        kc = state["kind_counts"]
-        out[:, col("act_click")] = kc[InteractionKind.CLICK]
-        out[:, col("act_bookmark")] = kc[InteractionKind.BOOKMARK]
-        out[:, col("act_reply")] = kc[InteractionKind.REPLY]
-        out[:, col("act_delete")] = kc[InteractionKind.DELETE]
+            # (row, source item) pairs
+            mat, deg, user_deg = ix.item_users[src]
+            deg = deg.astype(np.int32)
+            item, starts, lens = _segments(ptr, flat, owner)
+            union = deg[item]
+            cell = np.repeat(rows, lens)
+            own = cell == item
+            cell *= n_items
+            cell += item  # the pair's position in an item x item table
+            del item
+            union += np.repeat(deg[rows], lens)
+            overlap = np.array([t.ravel()[cell] for t in ix.token_overlap])
+            out[:, [col(f"match_{src}_{f}") for f in TOKEN_FIELDS]] = _share(
+                _count(overlap > 0, starts, lens).T, lens[:, None])
+            out[:, [col(f"common_{f}_{src}") for f in TOKEN_FIELDS]] = _reduce(
+                np.maximum, overlap, starts, lens).T
+            # cf_item: max Jaccard over users between the candidate and each
+            # of the user's items, self-pairs excluded
+            inter = ix.co_users[src].ravel()[cell]
+            del overlap, cell
+            union -= inter
+            jac = np.divide(inter, union, out=np.zeros(len(inter)), where=union > 0)
+            del inter, union
+            jac[own] = -np.inf
+            valid = lens - _count(own, starts, lens)
+            out[:, col(f"cf_item_{src}")] = np.where(
+                valid > 0, _reduce(np.maximum, jac, starts, lens), SENTINEL)
+            del jac, own
 
-        # ---- recency
-        last_any = state["last_any"]
-        out[:, col("rec_user_seconds")] = (
-            float(ix.now - last_any) if last_any is not None else SENTINEL
-        )
-        last_any_imp = state["last_any_imp"]
-        out[:, col("rec_user_weeks")] = (
-            float(ix.now_week - last_any_imp) if last_any_imp is not None else SENTINEL
-        )
-        item_ts = [state["last_ts"].get(i) for i in cand_ids]
-        out[:, col("rec_item_seconds")] = [
-            float(ix.now - ts) if ts is not None else SENTINEL for ts in item_ts
-        ]
-        out[:, col("rec_item_vs_last_seconds")] = [
-            float(last_any - ts) if ts is not None and last_any is not None else SENTINEL
-            for ts in item_ts
-        ]
-        item_wk = [state["last_imp_week"].get(i) for i in cand_ids]
-        out[:, col("rec_item_weeks")] = [
-            float(ix.now_week - wk) if wk is not None else SENTINEL for wk in item_wk
-        ]
-        out[:, col("rec_item_vs_last_weeks")] = [
-            float(last_any_imp - wk) if wk is not None and last_any_imp is not None else SENTINEL
-            for wk in item_wk
-        ]
+            if src == "int":
+                # geo distance: nearest of the user's positively interacted items
+                geo = ~np.isnan(ix.lat[flat])
+                gptr = np.zeros(len(states) + 1, dtype=np.int64)
+                np.cumsum(np.bincount(flat_owner[geo], minlength=len(states)), out=gptr[1:])
+                there, starts, lens = _segments(gptr, flat[geo], owner)
+                lat, lon = ix.lat[rows], ix.lon[rows]
+                d = np.square(ix.lat[there] - np.repeat(lat, lens))
+                d += np.square(ix.lon[there] - np.repeat(lon, lens))
+                np.sqrt(d, out=d)
+                out[:, col("geo_min_dist")] = np.where(
+                    np.isnan(lat), SENTINEL, _reduce(np.minimum, d, starts, lens))
+                del there, d
 
-        # ---- candidate positions
-        ranks = [cl.ranks[i] for i in cand_ids]
-        for slot in SLOT_NAMES:
-            out[:, col(f"pos_{slot}")] = [float(r[slot]) if slot in r else SENTINEL for r in ranks]
+            # (row, candidate's user) pairs; cf_user: max Jaccard over items
+            # between the user and each other user of the candidate
+            other, starts, lens = _segments(*ix.item_user_lists[src], rows)
+            den = np.repeat(n_src[owner].astype(np.int32), lens)
+            den += user_deg.astype(np.int32)[other]
+            cell = np.repeat(me, lens)
+            own = other == cell
+            known = cell >= 0  # a user missing from the user table shares nothing
+            np.maximum(cell, 0, out=cell)
+            cell *= n_users
+            cell += other  # the pair's position in a user x user table
+            del other
+            shared = ix.shared_items[src].ravel()[cell]
+            shared[own | ~known] = 0
+            if src == "int":
+                # share of the candidate's users holding one of the user's job roles
+                roles = ix.shared_roles.ravel()[cell] > 0
+                roles &= known
+                out[:, col("match_users_jobroles")] = _share(_count(roles, starts, lens), lens)
+                del roles
+            del cell, known
+            den -= shared
+            sims = np.divide(shared, den, out=np.zeros(len(shared)), where=shared > 0)
+            del den, shared
+            others = lens - _count(own, starts, lens)
+            out[:, col(f"cf_user_{src}")] = np.where(
+                others > 0, _reduce(np.maximum, sims, starts, lens, 0.0), SENTINEL)
+            del sims, own
 
-        # ---- user-item recent counts
-        out[:, col("uir_user_week")] = [float(state["uir_user"].get(i, 0)) for i in cand_ids]
-        out[:, col("uir_data_week")] = [float(state["uir_data"].get(i, 0)) for i in cand_ids]
+        # ---- event_match, user side: shares of the candidate's users with
+        # the user's attribute values
+        value_cols, counts = ix.user_attr_counts
+        none = counts.shape[1] - 1
+        c = np.array([[value_cols[k].get(v, none) for k, v in enumerate(vals)]
+                      for vals in u_attrs.tolist()], dtype=np.int64).reshape(-1, len(ATTRS))
+        out[:, [col(f"match_users_{a}") for a in ATTRS]] = _share(
+            counts[rows[:, None], c[owner]], ix.item_users["int"][1][rows][:, None])
 
         # ---- content similarity
-        out[:, col("cs_career_diff")] = attrs[:, 0] - u_attrs[0]
-        role_tokens = [ix.vocab[t] for t in jroles if t in ix.vocab]
-        out[:, col("cs_jobroles_title")] = title[:, role_tokens].sum(axis=1)
-        out[:, col("cs_jobroles_tags")] = tags[:, role_tokens].sum(axis=1)
-        out[:, [col(f"cs_eq_{a}") for a in ATTRS[1:]]] = attrs[:, 1:] == u_attrs[1:]
-
-        # ---- geo distance: nearest of the user's positively interacted items
-        geo_rows = state["rows"]["int"]
-        geo_rows = geo_rows[~np.isnan(ix.lat[geo_rows])]
-        out[:, col("geo_min_dist")] = SENTINEL
-        if len(geo_rows):
-            lat, lon = ix.lat[rows][:, None], ix.lon[rows][:, None]
-            d = np.sqrt((ix.lat[geo_rows] - lat) ** 2 + (ix.lon[geo_rows] - lon) ** 2)
-            out[:, col("geo_min_dist")] = np.where(np.isnan(lat[:, 0]), SENTINEL, d.min(axis=1))
-
-        # ---- cluster membership
-        hits = state["cluster_hits"]
-        out[:, col("cluster_hit")] = [1.0 if i in hits else 0.0 for i in cand_ids]
-
+        out[:, col("cs_career_diff")] = attrs[:, 0] - u_attrs[owner, 0]
+        out[:, [col(f"cs_eq_{a}") for a in ATTRS[1:]]] = attrs[:, 1:] == u_attrs[owner, 1:]
+        tok, starts, lens = _segments(*_csr([
+            [ix.vocab[t] for t in p.jobroles if t in ix.vocab] if p else [] for p in users
+        ]), owner)
+        out[:, [col(f"cs_jobroles_{f}") for f in TOKEN_FIELDS]] = _count(
+            ix.tokens[:, np.repeat(rows, lens), tok], starts, lens).T
         return out
+
+
+def _chunks(extractor: FeatureExtractor, per_user: list[tuple[int, list[int]]]):
+    """`per_user` in runs of whole users, one run per `block` call: at most
+    `PAIR_BUDGET` (row, source item) and (row, item user) pairs per run,
+    each row counted as one more pair, unless one user alone has more."""
+    ix, ev = extractor.index, extractor.events
+    deg = sum(d for _, d, _ in ix.item_users.values())
+    run, cost = [], 0
+    for u, its in per_user:
+        pairs = len(its) * (1 + len(ev.int_items(u)) + len(ev.imp_items(u)))
+        pairs += int(deg[[ix.row_of.get(i, 0) for i in its]].sum())
+        if run and cost + pairs > PAIR_BUDGET:
+            yield run
+            run, cost = [], 0
+        run.append((u, its))
+        cost += pairs
+    if run:
+        yield run
 
 
 def build_matrix(
@@ -479,8 +564,10 @@ def build_matrix(
     """Feature matrix for (user, item) pairs.
 
     rows=None takes every pair of every candidate list in order; otherwise
-    only the given pairs (which must appear in the candidate lists). When
-    ground_truth is given a 0/1 label column is attached.
+    only the given pairs (which must appear in the candidate lists), grouped
+    by user in order of first appearance. When ground_truth is given a 0/1
+    label column is attached. Rows are extracted in `block` calls of whole
+    users, each under `PAIR_BUDGET` pairs unless one user alone exceeds it.
     """
     extractor = FeatureExtractor(dataset, candidates)
     if rows is None:
@@ -493,26 +580,27 @@ def build_matrix(
             grouped.setdefault(u, []).append(i)
         per_user = list(grouped.items())
 
-    # each user's block is written into its slice, so the matrix exists once
-    n_rows = sum(len(its) for _, its in per_user)
-    values = np.empty((n_rows, len(extractor.schema)), dtype=np.float64)
-    users_out: list[int] = []
-    items_out: list[int] = []
-    for u, its in per_user:
-        if its:
-            values[len(items_out) : len(items_out) + len(its)] = extractor.block(u, its)
-        users_out.extend([u] * len(its))
-        items_out.extend(its)
+    per_user = [(u, its) for u, its in per_user if its]
+    sizes = [len(its) for _, its in per_user]
+    values = np.empty((sum(sizes), len(extractor.schema)), dtype=np.float64)
+    lo = 0
+    for run in _chunks(extractor, per_user):
+        pairs = [(u, i) for u, its in run for i in its]
+        extractor.block(pairs, out=values[lo : lo + len(pairs)])
+        lo += len(pairs)
+    users_out = np.repeat(np.array([u for u, _ in per_user], dtype=np.int64), sizes)
+    items_out = np.fromiter(chain.from_iterable(its for _, its in per_user), dtype=np.int64,
+                            count=len(values))
     labels = None
     if ground_truth is not None:
         labels = np.array(
-            [1.0 if i in ground_truth.get(u, ()) else 0.0 for u, i in zip(users_out, items_out)],
+            [1.0 if i in ground_truth.get(u, ()) else 0.0 for u, its in per_user for i in its],
             dtype=np.float64,
         )
     return FeatureMatrix(
         schema=extractor.schema,
-        user_ids=np.array(users_out, dtype=np.int64),
-        item_ids=np.array(items_out, dtype=np.int64),
+        user_ids=users_out,
+        item_ids=items_out,
         values=values,
         labels=labels,
     )

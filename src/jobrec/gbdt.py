@@ -59,6 +59,10 @@ class ModelFormatError(ValueError):
     """Model file is corrupt, has a wrong format marker or version."""
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class TrainConfig:
     max_depth: int = 5
@@ -157,10 +161,10 @@ class Tree:
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
         tree = cls()
-        tree.feature = [int(v) for v in d["feature"]]
+        tree.feature = list(d["feature"])  # index types are checked by `fault`
         tree.threshold = [float(v) for v in d["threshold"]]
-        tree.children_left = [int(v) for v in d["left"]]
-        tree.children_right = [int(v) for v in d["right"]]
+        tree.children_left = list(d["left"])
+        tree.children_right = list(d["right"])
         tree.value = [float(v) for v in d["value"]]
         return tree
 
@@ -168,6 +172,11 @@ class Tree:
         """Why this tree cannot be evaluated safely, or None. Nodes are
         numbered in pre-order, so every child follows its parent; that
         also rules out cycles."""
+        for name, values in (("feature", self.feature), ("left", self.children_left),
+                             ("right", self.children_right)):
+            bad = [v for v in values if not _is_int(v)]
+            if bad:
+                return f"field {name!r} holds {bad[0]!r}, not an integer"
         sizes = [len(a) for a in (self.feature, self.threshold, self.children_left,
                                   self.children_right, self.value)]
         n = sizes[0]
@@ -309,6 +318,10 @@ class GbdtModel:
             raise ModelFormatError(
                 f"{path}: unsupported model version {doc.get('version')!r}, expected {MODEL_VERSION}"
             )
+        best_round = doc.get("best_round")
+        if best_round is not None and not _is_int(best_round):
+            raise ModelFormatError(
+                f"{path}: field 'best_round' holds {best_round!r}, not an integer or null")
         try:
             cfg_raw = dict(doc["config"])
             config = TrainConfig(**cfg_raw)
@@ -318,7 +331,7 @@ class GbdtModel:
                 trees=[Tree.from_dict(t) for t in doc["trees"]],
                 feature_names=[str(n) for n in doc["feature_names"]],
                 eval_history={k: [float(v) for v in vs] for k, vs in doc["eval_history"].items()},
-                best_round=doc.get("best_round"),
+                best_round=best_round,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"{path}: malformed model document: {exc}") from None

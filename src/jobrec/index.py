@@ -44,6 +44,47 @@ def shared_token_vocab(items: list) -> dict[int, int]:
     return vocab
 
 
+def _count_product(a: np.ndarray, bound: int) -> np.ndarray:
+    """a @ a.T for a 0/1 matrix, as exact counts in the smallest unsigned
+    dtype that holds `bound`, a bound on every entry (the largest row sum).
+
+    float32 products sum integers exactly below 2**24; positions in the
+    table fit int32. The product runs over blocks of 256 rows, upper
+    triangle only, so no float32 copy of `a` or of the table is made.
+    """
+    assert 0 <= bound < 2**24 and len(a) ** 2 < 2**31, (bound, len(a))
+    step = 256
+    out = np.empty((len(a), len(a)), dtype=np.min_scalar_type(bound))
+    for lo in range(0, len(a), step):
+        left = a[lo : lo + step].astype(np.float32)
+        for hi in range(lo, len(a), step):
+            right = left if hi == lo else a[hi : hi + step].astype(np.float32)
+            block = left @ right.T
+            out[lo : lo + step, hi : hi + step] = block
+            out[hi : hi + step, lo : lo + step] = block.T
+    return _frozen(out)
+
+
+def _nonzero_lists(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nonzero columns of a 0/1 matrix as CSR: (pointers, int32
+    columns ascending)."""
+    ptr = np.zeros(len(mat) + 1, dtype=np.int64)
+    np.cumsum(mat.sum(axis=1, dtype=np.int64), out=ptr[1:])
+    return ptr, np.nonzero(mat)[1].astype(np.int32)
+
+
+def _dense_codes(attrs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each column's values as dense codes, each column's codes after the
+    previous column's; returns the codes and each column's distinct values."""
+    codes, values, width = [], [], 0
+    for column in attrs.T:
+        distinct, code = np.unique(column, return_inverse=True)
+        codes.append(code + width)
+        values.append(distinct)
+        width += len(distinct)
+    return np.column_stack(codes), values
+
+
 def _attr_array(entities: list) -> np.ndarray:
     """(n, 5) int64 array of the `ATTRS` values, one row per user or item."""
     return _frozen(np.array(
@@ -196,6 +237,73 @@ class DatasetIndex:
             m = _frozen(np.ascontiguousarray(indicator_matrix(sets, row_of).T))
             out[src] = (m, *(_frozen(m.sum(axis=a, dtype=np.int64)) for a in (1, 0)))
         return MappingProxyType(out)
+
+    @cached_property
+    def item_user_lists(self) -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
+        """Each item's users per source, as CSR: (pointers, user rows ascending)."""
+        return MappingProxyType({src: tuple(map(_frozen, _nonzero_lists(mat)))
+                                 for src, (mat, _, _) in self.item_users.items()})
+
+    @cached_property
+    def user_item_lists(self) -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
+        """Each user's items per source, as CSR in `user_row` order plus one
+        last, empty row for users missing from the user table: (pointers,
+        item rows ascending)."""
+        out = {}
+        for src, (mat, _, _) in self.item_users.items():
+            ptr, items = _nonzero_lists(mat.T)
+            out[src] = (_frozen(np.append(ptr, ptr[-1])), _frozen(items))
+        return MappingProxyType(out)
+
+    @cached_property
+    def co_users(self) -> Mapping[str, np.ndarray]:
+        """Per source, item x item counts of users shared by the two items."""
+        return MappingProxyType({src: _count_product(mat, deg.max(initial=0))
+                                 for src, (mat, deg, _) in self.item_users.items()})
+
+    @cached_property
+    def token_overlap(self) -> tuple[np.ndarray, ...]:
+        """Per field of `TOKEN_FIELDS`, item x item counts of shared tokens."""
+        return tuple(_count_product(f, f.sum(axis=1).max(initial=0)) for f in self.tokens)
+
+    @cached_property
+    def shared_items(self) -> Mapping[str, np.ndarray]:
+        """Per source, user x user counts of items both users have."""
+        return MappingProxyType({src: _count_product(mat.T, user_deg.max(initial=0))
+                                 for src, (mat, _, user_deg) in self.item_users.items()})
+
+    @cached_property
+    def shared_roles(self) -> np.ndarray:
+        """User x user counts of job roles both users hold."""
+        roles = self.jobroles[1]
+        return _count_product(roles, roles.sum(axis=1).max(initial=0))
+
+    @cached_property
+    def attr_codes(self) -> tuple[np.ndarray, int]:
+        """The items' `ATTRS` values as dense codes, each attribute's codes
+        after the previous attribute's: ((items, 5) codes, code count)."""
+        codes, values = _dense_codes(self.attrs)
+        return _frozen(codes), sum(len(v) for v in values)
+
+    @cached_property
+    def user_attr_counts(self) -> tuple[tuple[Mapping[int, int], ...], np.ndarray]:
+        """Item x attribute-value counts of each item's positive-interaction users.
+
+        Returns one value -> column map per attribute of `ATTRS` and the
+        counts: the attributes' columns side by side, then one all-zero
+        column for values no user holds.
+        """
+        codes, values = _dense_codes(self.user_attrs)
+        maps, width = [], 0
+        for distinct in values:
+            maps.append(MappingProxyType({v: width + c for c, v in enumerate(distinct.tolist())}))
+            width += len(distinct)
+        mat, deg, _ = self.item_users["int"]
+        item, user = np.nonzero(mat)
+        keys = item[:, None] * (width + 1) + codes[user]
+        counts = np.bincount(keys.ravel(), minlength=mat.shape[0] * (width + 1))
+        dtype = np.min_scalar_type(deg.max(initial=0))
+        return tuple(maps), _frozen(counts.reshape(-1, width + 1).astype(dtype))
 
     @cached_property
     def cluster(self) -> ItemClusterIndex:

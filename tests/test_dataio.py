@@ -154,6 +154,33 @@ class TestMalformedInput:
         with pytest.raises(DataFormatError, match="items.tsv:2: .*latitude and longitude"):
             load_items(path)
 
+    ITEM_HEADER = ("id\ttitle\tcareer_level\tdiscipline_id\tindustry_id\tcountry\t"
+                   "region\tlatitude\tlongitude\temployment\ttags\tcreated_at\t"
+                   "active_during_test\n")
+
+    @pytest.mark.parametrize("lat, lon, column", [
+        ("nan", "13.7", "latitude"), ("51.05", "inf", "longitude"), ("-inf", "13.7", "latitude"),
+        ("51.05", "NaN", "longitude"),
+    ])
+    def test_non_finite_coordinate_rejected(self, tmp_path, lat, lon, column):
+        path = tmp_path / "items.tsv"
+        path.write_text(self.ITEM_HEADER + f"101\t\t0\t0\t0\t0\t0\t{lat}\t{lon}\t0\t\t\t1\n")
+        with pytest.raises(DataFormatError,
+                           match=f"items.tsv:2: column '{column}': expected a finite coordinate"):
+            load_items(path)
+
+    def test_empty_coordinates_still_mean_missing(self, tmp_path):
+        path = tmp_path / "items.tsv"
+        path.write_text(self.ITEM_HEADER + "101\t\t0\t0\t0\t0\t0\t\t\t0\t\t\t1\n")
+        item = load_items(path)[101]
+        assert item.latitude is None and item.longitude is None
+
+    @pytest.mark.parametrize("lat, lon", [(float("nan"), 13.7), (51.05, float("inf")),
+                                          (float("-inf"), float("nan"))])
+    def test_item_rejects_non_finite_coordinates(self, lat, lon):
+        with pytest.raises(ValueError, match="item 101: latitude and longitude must be finite"):
+            Item(101, latitude=lat, longitude=lon)
+
 
 class TestUnknownReferences:
     def write_with_dangling(self, tmp_path):

@@ -1,11 +1,13 @@
 """Per-group feature fixtures with hand-computed expected values."""
 
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jobrec import features
 from jobrec.candidates import CandidateGenerator, CandidateList, SLOT_NAMES, save_candidates, load_candidates
 from jobrec.dataio import DataFormatError
 from jobrec.entities import DAY_SECONDS, POSITIVE_KINDS, WEEK_SECONDS
@@ -35,7 +37,7 @@ def cand_list(u, items, slot="global_popular"):
 
 def one_block(ds, u, items):
     ext = FeatureExtractor(ds, {u: cand_list(u, items)})
-    return ext.block(u, items), ext.schema
+    return ext.block([(u, i) for i in items]), ext.schema
 
 
 def val(block, schema, row, name):
@@ -428,7 +430,7 @@ class TestCandidatePosition:
         cl.add(102, "global_popular", 1)
         ds = make_dataset([make_user(1)], [make_item(101), make_item(102)], [ev(1, 101, ts=1)])
         ext = FeatureExtractor(ds, {1: cl})
-        block = ext.block(1, [101, 102])
+        block = ext.block([(1, 101), (1, 102)])
         schema = ext.schema
         assert val(block, schema, 0, "pos_recent_interactions") == 1.0
         assert val(block, schema, 0, "pos_global_popular") == 7.0
@@ -440,13 +442,13 @@ class TestCandidatePosition:
         ds = make_dataset([make_user(1)], [make_item(101), make_item(102)], [ev(1, 101, ts=1)])
         ext = FeatureExtractor(ds, {1: cand_list(1, [101])})
         with pytest.raises(ValueError):
-            ext.block(1, [102])
+            ext.block([(1, 102)])
 
     def test_unknown_user_rejected(self):
         ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)])
         ext = FeatureExtractor(ds, {})
         with pytest.raises(ValueError):
-            ext.block(1, [101])
+            ext.block([(1, 101)])
 
     def test_own_event_on_unknown_item_names_user_and_item(self):
         ds = make_dataset([make_user(1)], [make_item(101), make_item(102)],
@@ -474,7 +476,7 @@ class TestCandidatePosition:
             items_u = reloaded[u].items()
             if not items_u:
                 continue
-            block = ext.block(u, items_u)
+            block = ext.block([(u, i) for i in items_u])
             for r, i in enumerate(items_u):
                 for slot in SLOT_NAMES:
                     want = float(reloaded[u].ranks[i].get(slot, SENTINEL))
@@ -750,7 +752,7 @@ class TestBuildMatrix:
         cands = {1: cand_list(1, [101])}
         f_full, schema = one_block(full, 1, [101])
         ext_train = FeatureExtractor(train, cands)
-        f_train = ext_train.block(1, [101])
+        f_train = ext_train.block([(1, 101)])
         i = schema.index("rec_item_seconds")
         assert f_full[0, i] - f_train[0, i] == span
         i = schema.index("rec_user_seconds")
@@ -772,10 +774,11 @@ def bits(values):
 
 
 @st.composite
-def tiny_variant(draw):
+def tiny_variant(draw, lonely_item=False):
     """A small random dataset plus a candidate list for every user, one
     user id absent from the user table among them. Every list holds every
-    item, so self-pairs and items without geo or created_at are scored."""
+    item, so self-pairs and items without geo or created_at are scored.
+    With lonely_item, one more item that no event names is in every list."""
     small = st.integers(0, 2)
     tokens = st.frozensets(st.integers(0, 7), max_size=4)
 
@@ -793,6 +796,8 @@ def tiny_variant(draw):
             latitude=geo[0] if geo else None, longitude=geo[1] if geo else None,
             created_at=draw(st.none() | st.integers(0, 10**9)), **attrs(),
         ))
+    if lonely_item:
+        items.append(make_item(100 + n_items, tags=draw(tokens), **attrs()))
     actor, item = st.integers(1, n_users), st.integers(100, 99 + n_items)
     # whole days often put an event exactly on a week or day window's edge
     when = st.integers(0, 21).map(lambda d: d * DAY_SECONDS) | st.integers(0, 3 * WEEK_SECONDS)
@@ -820,7 +825,7 @@ class TestBlockMatchesOracle:
         ds, cands = variant
         ext = FeatureExtractor(ds, cands)
         for u, cl in cands.items():
-            got = ext.block(u, cl.items())
+            got = ext.block([(u, i) for i in cl.items()])
             assert np.array_equal(bits(got), bits(block_oracle(ext, u, cl.items())))
 
     def test_synth_matrices_bit_equal(self):
@@ -839,3 +844,43 @@ class TestBlockMatchesOracle:
                 assert (got.user_ids == want.user_ids).all()
                 assert (got.item_ids == want.item_ids).all()
                 assert (got.labels == want.labels).all()
+
+
+class TestBuildMatrixMatchesOracle:
+    """build_matrix's batched calls against one block_oracle call per user."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(tiny_variant(lonely_item=True), st.data())
+    def test_batched_matrix_bit_equal(self, variant, data):
+        ds, cands = variant
+        # every list holds every item: the idle user, the impressions-only
+        # user, the user missing from the user table and the item no event
+        # names are all in the pool; a permutation interleaves the users
+        pool = [(u, i) for u, cl in cands.items() for i in cl.items()]
+        rows = data.draw(st.permutations(pool))
+        rows += data.draw(st.lists(st.sampled_from(pool), max_size=8))  # repeated pairs
+        if data.draw(st.booleans()):
+            rows = None
+        truth = data.draw(st.dictionaries(st.sampled_from(sorted(cands)),
+                                          st.sets(st.sampled_from(sorted(ds.items)), min_size=1)))
+        budget = data.draw(st.sampled_from([0, 60, features.PAIR_BUDGET]))
+        calls = []
+        block = FeatureExtractor.block
+
+        def counted(self, pairs, out=None):
+            calls.append(len(pairs))
+            return block(self, pairs, out)
+
+        with patch.object(features, "PAIR_BUDGET", budget), \
+                patch.object(FeatureExtractor, "block", counted):
+            got = build_matrix(ds, cands, rows=rows, ground_truth=truth)
+        want = build_matrix_oracle(ds, cands, rows=rows, ground_truth=truth)
+        assert np.array_equal(bits(got.values), bits(want.values))
+        assert got.user_ids.tolist() == want.user_ids.tolist()
+        assert got.item_ids.tolist() == want.item_ids.tolist()
+        assert got.labels.tolist() == want.labels.tolist()
+        assert sum(calls) == len(got)
+        if budget == 0:  # one call per user
+            assert len(calls) == len(set(got.user_ids.tolist()))
+        elif budget == features.PAIR_BUDGET:
+            assert len(calls) == 1

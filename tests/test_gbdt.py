@@ -470,6 +470,12 @@ class TestSerialization:
         "empty tree": (None, None, None, r"node arrays must be non-empty"),
         "nan threshold": ("threshold", 0, float("nan"), r"non-finite threshold or value"),
         "infinite value": ("value", 1, float("inf"), r"non-finite threshold or value"),
+        "fractional child": ("left", 0, 1.7, r"field 'left' holds 1\.7, not an integer"),
+        "negative fractional leaf child": ("right", 1, -1.7,
+                                           r"field 'right' holds -1\.7, not an integer"),
+        "integral float feature": ("feature", 0, 0.0, r"field 'feature' holds 0\.0, not an integer"),
+        "boolean child": ("right", 0, True, r"field 'right' holds True, not an integer"),
+        "string feature": ("feature", 1, "-1", r"field 'feature' holds '-1', not an integer"),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -503,6 +509,28 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="malformed model document: could not convert"):
             GbdtModel.load(path)
+
+    @pytest.mark.parametrize("best_round", ["x", 2.0, True, [2]])
+    def test_malformed_best_round_rejected(self, tmp_path, best_round):
+        model, _ = self.make_model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        doc["best_round"] = best_round
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError,
+                           match=r"model\.json: field 'best_round' holds .*, not an integer or null"):
+            GbdtModel.load(path)
+
+    @pytest.mark.parametrize("best_round", [None, 0, 3])
+    def test_integer_or_null_best_round_loads(self, tmp_path, best_round):
+        model, _ = self.make_model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        doc["best_round"] = best_round
+        path.write_text(json.dumps(doc))
+        assert GbdtModel.load(path).best_round == best_round
 
     def test_missing_field_rejected(self, tmp_path):
         model, _ = self.make_model()

@@ -12,7 +12,9 @@ from jobrec.synth import SynthConfig, generate
 from conftest import ev, imp, make_dataset, make_item, make_user
 
 # built on first use; candidate generation must not need them
-_FEATURE_PARTS = ("user_row", "user_attrs", "jobroles", "item_users", "cluster", "item_block")
+_FEATURE_PARTS = ("user_row", "user_attrs", "jobroles", "item_users", "cluster", "item_block",
+                  "item_user_lists", "co_users", "token_overlap", "shared_items", "shared_roles",
+                  "user_item_lists", "attr_codes", "user_attr_counts")
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +57,7 @@ class TestReadOnly:
         _, train, lists = variant
         ext = FeatureExtractor(train, lists)
         u = next(iter(lists))
-        ext.block(u, lists[u].items())
+        ext.block([(u, i) for i in lists[u].items()])
         index = train.index
         for name in _FEATURE_PARTS:
             getattr(index, name)
