@@ -128,6 +128,16 @@ class CandidateGenerator:
 
         # (V, 2A): token x active item, the tags block then the title block
         self._tok_act = np.concatenate([f[index.active_rows].T for f in index.tokens], axis=1)
+        # (items, 4A): each item's token overlap with each active item, one block
+        # per (source field, candidate field); cross-field blocks need only the
+        # tokens both fields hold, summed exactly in float32 below 2**24
+        act, same = index.active_rows, index.token_overlap
+        both = index.tokens[:, :, index.tokens.any(axis=1).all(axis=0)]
+        bound, dtype = both.sum(axis=2).max(initial=0), np.result_type(*same)
+        assert bound < 2**24 and bound <= np.iinfo(dtype).max, (bound, dtype)
+        cross = both.astype(np.float32) @ both[::-1, act].astype(np.float32).transpose(0, 2, 1)
+        self._overlap = np.concatenate([same[0][:, act], *cross.astype(dtype), same[1][:, act]],
+                                       axis=1)
         self._popular = index.popular[:cap].tolist()
         self._recent_cache: dict[tuple[int, str], list[int]] = {}
 
@@ -138,30 +148,19 @@ class CandidateGenerator:
         idx = np.nonzero(scores >= 1)[0]
         if len(idx) == 0:
             return []
-        order = np.lexsort((self.active_ids[idx], -scores[idx]))
+        # signed before negating: scores may be unsigned counts
+        order = np.lexsort((self.active_ids[idx], -scores[idx].astype(np.int64)))
         return [int(i) for i in self.active_ids[idx[order[:cap]]]]
 
-    def _knn_scores(self, source_items: list[int]) -> np.ndarray:
-        """Max token overlap of each active item with the source items.
-
-        Returns shape (source field, candidate field, A). Only the tokens
-        T of the source items can overlap, and only the candidate columns
-        holding one of them can score, so one (2s x |T|) product with those
-        columns of `_tok_act[T]` gives all four field crossings. It runs on
-        float64 copies, which sum small integers exactly.
-        """
+    def _knn_scores(self, source_items: Iterable[int]) -> np.ndarray:
+        """Max token overlap of each active item with the source items, as
+        (source field, candidate field, A): the column-wise max of the source
+        items' rows of `_overlap`, a gather with no per-user product."""
         row_of = self.index.row_of
         rows = [row_of[i] for i in source_items if i in row_of]
         if not rows:
-            return np.zeros((2, 2, len(self.active_ids)))
-        src = self.index.tokens[:, rows].reshape(2 * len(rows), -1)
-        toks = np.flatnonzero(src.any(axis=0))
-        cand = self._tok_act[toks]
-        cols = np.flatnonzero(cand.any(axis=0))
-        overlap = src[:, toks].astype(np.float64) @ cand[:, cols].astype(np.float64)
-        scores = np.zeros((2, cand.shape[1]))
-        scores[:, cols] = overlap.reshape(2, len(rows), -1).max(axis=1)
-        return scores.reshape(2, 2, -1)
+            return np.zeros((2, 2, len(self.active_ids)), dtype=self._overlap.dtype)
+        return self._overlap[rows].max(axis=0).reshape(2, 2, -1)
 
     # ------------------------------------------------------------ generators
 
@@ -197,10 +196,10 @@ class CandidateGenerator:
     def gen_content_knn(self, user_id: int, source: str) -> dict[str, list[int]]:
         """Four sub-rankings keyed by slot column name."""
         if source == "interactions":
-            source_items = sorted(self.events.int_items(user_id))
+            source_items = self.events.int_items(user_id)
             prefix = "content_int"
         else:
-            source_items = sorted(self.events.imp_items(user_id))
+            source_items = self.events.imp_items(user_id)
             prefix = "content_imp"
         scores = self._knn_scores(source_items)
         return {
@@ -228,22 +227,20 @@ class CandidateGenerator:
 
     def generate(self, user_id: int) -> CandidateList:
         merged = CandidateList(user_id)
-
-        def put(slot: str, ranking: list[int]) -> None:
+        ranks = merged.ranks
+        for slot, ranking in [
+            ("recent_interactions", self.gen_recent_interactions(user_id)),
+            ("recent_impressions", self.gen_recent_impressions(user_id)),
+            ("similar_user_interactions", self.gen_similar_user_items(user_id, "interactions")),
+            ("similar_user_impressions", self.gen_similar_user_items(user_id, "impressions")),
+            *self.gen_content_knn(user_id, "interactions").items(),
+            *self.gen_content_knn(user_id, "impressions").items(),
+            ("jobroles_tags", self.gen_jobroles_match(user_id, "tags")),
+            ("jobroles_title", self.gen_jobroles_match(user_id, "title")),
+            ("global_popular", self.gen_popular()),
+        ]:
             for rank, item in enumerate(ranking, start=1):
-                merged.add(item, slot, rank)
-
-        put("recent_interactions", self.gen_recent_interactions(user_id))
-        put("recent_impressions", self.gen_recent_impressions(user_id))
-        put("similar_user_interactions", self.gen_similar_user_items(user_id, "interactions"))
-        put("similar_user_impressions", self.gen_similar_user_items(user_id, "impressions"))
-        for col, ranking in self.gen_content_knn(user_id, "interactions").items():
-            put(col, ranking)
-        for col, ranking in self.gen_content_knn(user_id, "impressions").items():
-            put(col, ranking)
-        put("jobroles_tags", self.gen_jobroles_match(user_id, "tags"))
-        put("jobroles_title", self.gen_jobroles_match(user_id, "title"))
-        put("global_popular", self.gen_popular())
+                ranks.setdefault(item, {})[slot] = rank
         return merged
 
     def generate_all(self, user_ids: Iterable[int]) -> dict[int, CandidateList]:

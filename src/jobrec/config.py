@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+import typing
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .gbdt import TrainConfig
@@ -51,23 +52,19 @@ class PipelineConfig:
         return {"stage": stage, "config": self.config_hash(), "seed": self.seed}
 
 
-def _coerce(raw: str):
-    low = raw.strip().lower()
-    if low in ("none", "null", ""):
+def _typed(raw: str, hint):
+    """`raw` as a value of the field annotation `hint`, int, float, str or one
+    of them | None, where "none", "null" or nothing is None; else ValueError."""
+    kinds = typing.get_args(hint) or (hint,)
+    if type(None) in kinds and raw.lower() in ("none", "null", ""):
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw.strip()
+    return next(k for k in kinds if k is not type(None))(raw)
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
-    """key=value lines; '#' starts a comment; unknown keys are rejected."""
-    known = {f.name for f in fields(PipelineConfig)}
+    """key=value lines; '#' starts a comment; unknown keys are rejected, and
+    each value must parse as its `PipelineConfig` field's annotated type."""
+    hints = typing.get_type_hints(PipelineConfig)
     out: dict[str, object] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -77,9 +74,14 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         if "=" not in body:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in body.split("=", 1))
-        if key not in known:
+        if key not in hints:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(value)
+        try:
+            out[key] = _typed(value, hints[key])
+        except ValueError:
+            kind = getattr(hints[key], "__name__", hints[key])
+            raise ValueError(f"{path}:{lineno}: config key {key!r} expects {kind}, "
+                             f"got {value!r}") from None
     return out
 
 

@@ -5,8 +5,10 @@ Candidates, features and the baselines read a dataset variant through
 popularity ranking and the per-user recency ranking are decided here
 only. Arrays and maps are read-only: a stray in-place write raises
 instead of corrupting another consumer.
-The parts only features read are built on first use. Events on items
-missing from the item table are left out of every count.
+The count tables and per-user parts are built on first use:
+`token_overlap` by candidates or features, whichever reads it first, the
+rest by features only. Events on items missing from the item table are
+left out of every count.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ class DatasetIndex:
             key=lambda i: (-latest[i], -count[i], i),
         )
 
-    # ------------------------------------------------- features only, lazy
+    # ------------------- lazy; features only, but token_overlap is shared
 
     @cached_property
     def user_row(self) -> Mapping[int, int]:
@@ -263,7 +265,8 @@ class DatasetIndex:
 
     @cached_property
     def token_overlap(self) -> tuple[np.ndarray, ...]:
-        """Per field of `TOKEN_FIELDS`, item x item counts of shared tokens."""
+        """Per field of `TOKEN_FIELDS`, item x item counts of shared tokens;
+        read by the content-knn generators and the `common_*` features."""
         return tuple(_count_product(f, f.sum(axis=1).max(initial=0)) for f in self.tokens)
 
     @cached_property

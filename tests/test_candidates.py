@@ -239,6 +239,81 @@ class TestContentKnn:
                 assert got[f"content_int_{cf}_{sf}"] == want, (u, cf, sf)
 
 
+def knn_fields_dataset(kind, seed=0, n_items=24):
+    """Items whose tags and titles relate as `kind` says, each user with
+    interactions and impressions on a few of them:
+    - "shared": every token is used in both fields;
+    - "disjoint": no token is in both fields;
+    - "ties": 4 tokens in both fields, 2-4 per set, so many items score
+      2 or more and tie on it;
+    - "wide": 300 tokens in both fields, overlaps above 255."""
+    rng = np.random.default_rng(seed)
+    pools = {"shared": (range(6), range(6)), "disjoint": (range(10), range(10, 20)),
+             "ties": (range(4), range(4)), "wide": (range(300), range(300))}[kind]
+    sizes = {"ties": (2, 5), "wide": (250, 300)}.get(kind, (0, 4))
+
+    def draw(pool):
+        size = min(int(rng.integers(*sizes)), len(pool))
+        return frozenset(rng.choice(list(pool), size=size, replace=False).tolist())
+
+    items = [make_item(100 + i, active=bool(rng.random() < 0.7),
+                       tags=draw(pools[0]), title=draw(pools[1])) for i in range(n_items)]
+    rows = [ev(u, 100 + int(rng.integers(n_items)), ts=int(rng.integers(WEEK)))
+            for u in range(1, 7) for _ in range(3)]
+    imps = [imp(u, 100 + int(rng.integers(n_items)), 2300) for u in range(1, 7) for _ in range(3)]
+    return make_dataset([make_user(u) for u in range(1, 8)], items, rows, imps)
+
+
+class TestContentKnnCrossFields:
+    """The overlap table's cross-field blocks against the oracle, where the
+    fields share every token, none, or enough to tie above 1."""
+
+    @pytest.mark.parametrize("kind", ["shared", "disjoint", "ties", "wide"])
+    def test_all_crossings_match_oracle(self, kind):
+        ds = knn_fields_dataset(kind)
+        tags = set().union(*(it.tags for it in ds.items.values()))
+        title = set().union(*(it.title for it in ds.items.values()))
+        assert (tags == title) if kind != "disjoint" else not (tags & title)
+        gen = CandidateGenerator(ds)
+        scored = set()
+        for u in [*ds.users, 99]:
+            for source, prefix in (("interactions", "content_int"), ("impressions", "content_imp")):
+                got = gen.gen_content_knn(u, source)
+                for cf, sf in (("tags", "tags"), ("title", "title"), ("tags", "title"),
+                               ("title", "tags")):
+                    want = oracles.knn_oracle(ds, u, source, cf, sf, 60)
+                    assert got[f"{prefix}_{cf}_{sf}"] == want, (u, source, cf, sf)
+                    if want:
+                        scored.add((cf, sf))
+        crossings = {("tags", "title"), ("title", "tags")}
+        assert crossings & scored == (set() if kind == "disjoint" else crossings)
+
+    @pytest.mark.parametrize("kind, dtype", [("shared", np.uint8), ("wide", np.uint16)])
+    def test_table_holds_every_count(self, kind, dtype):
+        ds = knn_fields_dataset(kind)
+        gen = CandidateGenerator(ds)
+        assert gen._overlap.dtype == dtype
+        n_act = len(gen.active_ids)
+        tokens = {f: [getattr(ds.items[i], f) for i in ds.index.item_ids.tolist()]
+                  for f in ("tags", "title")}
+        for block, (sf, cf) in enumerate([("tags", "tags"), ("tags", "title"),
+                                          ("title", "tags"), ("title", "title")]):
+            want = [[len(s & tokens[cf][r]) for r in ds.index.active_rows.tolist()]
+                    for s in tokens[sf]]
+            assert gen._overlap[:, block * n_act:(block + 1) * n_act].tolist() == want
+
+    def test_ties_break_by_id(self):
+        ds = knn_fields_dataset("ties")
+        gen = CandidateGenerator(ds)
+        ranked = gen.gen_content_knn(1, "interactions")["content_int_tags_title"]
+        # (source field, candidate field): candidate tags against source titles
+        scores = gen._knn_scores(ds.events.int_items(1))[1, 0]
+        by_id = dict(zip(gen.active_ids.tolist(), scores.tolist()))
+        keys = [(-by_id[i], i) for i in ranked]
+        assert keys == sorted(keys) and keys[0][0] <= -2
+        assert len({k for k, _ in keys}) < len(keys)
+
+
 class TestJobrolesMatch:
     def test_hand_intersection(self):
         ds = make_dataset(

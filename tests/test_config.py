@@ -51,6 +51,39 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="key=value"):
             parse_config_file(path)
 
+    def test_unparsable_float_names_line_and_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=9\neta=abc\n")
+        with pytest.raises(ValueError, match=r"run.cfg:2: config key 'eta' expects float, got 'abc'"):
+            parse_config_file(path)
+
+    def test_int_field_rejects_float(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# seed\nseed=1.5\n")
+        with pytest.raises(ValueError, match=r"run.cfg:2: config key 'seed' expects int, got '1.5'"):
+            parse_config_file(path)
+
+    def test_none_only_where_the_field_allows_it(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("candidate_cap=none\n")
+        with pytest.raises(ValueError, match=r"run.cfg:1: config key 'candidate_cap' expects int, "
+                                             r"got 'none'"):
+            parse_config_file(path)
+
+    def test_optional_int_rejects_float(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("early_stopping_rounds=2.0\n")
+        with pytest.raises(ValueError, match=r"run.cfg:1: config key 'early_stopping_rounds' "
+                                             r"expects int \| None, got '2.0'"):
+            parse_config_file(path)
+
+    def test_float_field_takes_an_integer_literal_as_float(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("min_child_weight=5\n")
+        cfg = load_config(path)
+        assert cfg.min_child_weight == 5.0 and isinstance(cfg.min_child_weight, float)
+        assert cfg.config_hash() == PipelineConfig().config_hash()
+
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed=9\neta=0.2\n")

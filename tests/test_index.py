@@ -13,8 +13,10 @@ from conftest import ev, imp, make_dataset, make_item, make_user
 
 # built on first use; candidate generation must not need them
 _FEATURE_PARTS = ("user_row", "user_attrs", "jobroles", "item_users", "cluster", "item_block",
-                  "item_user_lists", "co_users", "token_overlap", "shared_items", "shared_roles",
+                  "item_user_lists", "co_users", "shared_items", "shared_roles",
                   "user_item_lists", "attr_codes", "user_attr_counts")
+# built on first use and read by candidates and features alike
+_SHARED_PARTS = ("token_overlap",)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +61,7 @@ class TestReadOnly:
         u = next(iter(lists))
         ext.block([(u, i) for i in lists[u].items()])
         index = train.index
-        for name in _FEATURE_PARTS:
+        for name in _FEATURE_PARTS + _SHARED_PARTS:
             getattr(index, name)
         arrays = [a for v in vars(index).values() for a in _arrays(v)]
         assert len(arrays) >= 20
@@ -86,6 +88,7 @@ class TestLazy:
         assert gen.generate(2).items() == [101]
         assert ds.index.positive_counts.tolist() == [1, 1]
         assert not set(_FEATURE_PARTS) & set(vars(ds.index))
+        assert set(_SHARED_PARTS) <= set(vars(ds.index))
 
 
 class TestUnknownUsers:
