@@ -156,8 +156,7 @@ class CandidateGenerator:
         """Max token overlap of each active item with the source items, as
         (source field, candidate field, A): the column-wise max of the source
         items' rows of `_overlap`, a gather with no per-user product."""
-        row_of = self.index.row_of
-        rows = [row_of[i] for i in source_items if i in row_of]
+        rows = [self.index.row_of[i] for i in source_items]
         if not rows:
             return np.zeros((2, 2, len(self.active_ids)), dtype=self._overlap.dtype)
         return self._overlap[rows].max(axis=0).reshape(2, 2, -1)
@@ -210,11 +209,8 @@ class CandidateGenerator:
         }
 
     def gen_jobroles_match(self, user_id: int, field: str) -> list[int]:
-        user = self.dataset.users.get(user_id)
-        if user is None or not user.jobroles:
-            return []
         vocab = self.index.vocab
-        cols = [vocab[t] for t in user.jobroles if t in vocab]
+        cols = [vocab[t] for t in self.dataset.users[user_id].jobroles if t in vocab]
         n_act = len(self.active_ids)
         start = TOKEN_FIELDS.index(field) * n_act
         scores = self._tok_act[cols, start:start + n_act].sum(axis=0, dtype=np.int64)
@@ -226,6 +222,8 @@ class CandidateGenerator:
     # --------------------------------------------------------------- merging
 
     def generate(self, user_id: int) -> CandidateList:
+        if user_id not in self.dataset.users:
+            raise ValueError(f"user {user_id} is not in the user table")
         merged = CandidateList(user_id)
         ranks = merged.ranks
         for slot, ranking in [

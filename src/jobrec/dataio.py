@@ -18,6 +18,8 @@ Contract at the file boundary:
   one cell is at fault.
 - Events and target users that name unknown user/item ids are dropped by
   `load_dataset`, counted in `Dataset.row_counts` and logged as a warning.
+  A dataset built in memory is not filtered: its `Dataset.index` rejects
+  any event that names an unknown user or item.
 """
 
 from __future__ import annotations

@@ -258,6 +258,15 @@ def _count(mask: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray
     return _reduce(np.add, mask.view(np.uint8), starts, lens, 0.0, dtype=dtype)
 
 
+def _lookup(row_of: Mapping[int, int], ids, table: str) -> list[int]:
+    """Rows of `ids` in one of the index's row maps; `ValueError` naming the
+    first id missing from the `table` table."""
+    try:
+        return [row_of[i] for i in ids]
+    except KeyError as exc:
+        raise ValueError(f"{table} {exc.args[0]} is not in the {table} table") from None
+
+
 def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
     """count / total in float64, SENTINEL where total is 0."""
     out = np.full(np.broadcast(count, total).shape, SENTINEL)
@@ -277,10 +286,9 @@ class FeatureExtractor:
     user counts, user x user shared items and job roles. Every fraction is
     one float64 division of two exact integers.
 
-    Assumes referential integrity: every event references a user and item
-    present in the entity tables (the loader enforces this; the synthesizer
-    produces it by construction). A user whose own positive interaction or
-    impression names an unknown item raises `ValueError`.
+    The variant's index rejects events that name users or items missing
+    from its tables; `block` rejects a user missing from the user table and
+    a candidate item missing from the item table, both with `ValueError`.
     """
 
     def __init__(self, dataset: Dataset, candidates: Mapping[int, CandidateList]) -> None:
@@ -314,12 +322,6 @@ class FeatureExtractor:
             return out
 
         int_items, imp_items = ev.int_items(user_id), ev.imp_items(user_id)
-        for items in (int_items, imp_items):
-            if not ix.row_of.keys() >= items:
-                missing = min(i for i in items if i not in ix.row_of)
-                raise ValueError(f"user {user_id} has events on item {missing}, "
-                                 "which is not in the item table")
-
         cluster_hits: set[int] = set()
         for i in int_items:
             cluster_hits |= ix.cluster.neighbors(i)
@@ -352,7 +354,7 @@ class FeatureExtractor:
             "uir_user": window_counts(last_any),
             "uir_data": uir_data,
             "cluster_hits": cluster_hits,
-            "user": self.dataset.users.get(user_id),
+            "user": self.dataset.users[user_id],
         }
 
     # ------------------------------------------------------------ main block
@@ -378,15 +380,14 @@ class FeatureExtractor:
                 raise ValueError(f"pair ({u}, {i}) is not in the candidate list")
             owner_list.append(slot_of.setdefault(u, len(slot_of)))
             ranks.append(cl.ranks[i])
+        user_rows = np.array(_lookup(ix.user_row, slot_of, "user"), dtype=np.int64)
+        cand_ids = [int(i) for _, i in pairs]
+        rows = np.array(_lookup(ix.row_of, cand_ids, "item"), dtype=np.int32)
         states = [self._user_state(u) for u in slot_of]
         owner = np.array(owner_list, dtype=np.int64)  # each row's user, as an index of `states`
-        cand_ids = [int(i) for _, i in pairs]
-        rows = np.array([ix.row_of[i] for i in cand_ids], dtype=np.int32)
         attrs = ix.attrs[rows]
         users = [st["user"] for st in states]
-        u_attrs = np.array([[getattr(p, a) if p else 0 for a in ATTRS] for p in users],
-                           dtype=np.int64).reshape(len(users), len(ATTRS))
-        user_rows = np.array([ix.user_row.get(u, -1) for u in slot_of], dtype=np.int64)
+        u_attrs = np.array([[getattr(p, a) for a in ATTRS] for p in users], dtype=np.int64)
         me = user_rows[owner].astype(np.int32)
 
         # ---- user-level columns: one gather of the users' values
@@ -431,10 +432,7 @@ class FeatureExtractor:
         codes, width = ix.attr_codes
         n_items, n_users = len(ix.item_ids), len(ix.user_row)
         for src in ("int", "imp"):
-            # the users' items; a user missing from the user table reads the empty last row
-            lists = ix.user_item_lists[src]
-            empty_row = len(lists[0]) - 2
-            flat, _, n_src = _segments(*lists, np.where(user_rows < 0, empty_row, user_rows))
+            flat, _, n_src = _segments(*ix.user_item_lists[src], user_rows)
             ptr = np.zeros(len(states) + 1, dtype=np.int64)
             np.cumsum(n_src, out=ptr[1:])
             flat_owner = np.repeat(np.arange(len(states)), n_src)
@@ -494,20 +492,17 @@ class FeatureExtractor:
             den += user_deg.astype(np.int32)[other]
             cell = np.repeat(me, lens)
             own = other == cell
-            known = cell >= 0  # a user missing from the user table shares nothing
-            np.maximum(cell, 0, out=cell)
             cell *= n_users
             cell += other  # the pair's position in a user x user table
             del other
             shared = ix.shared_items[src].ravel()[cell]
-            shared[own | ~known] = 0
+            shared[own] = 0
             if src == "int":
                 # share of the candidate's users holding one of the user's job roles
                 roles = ix.shared_roles.ravel()[cell] > 0
-                roles &= known
                 out[:, col("match_users_jobroles")] = _share(_count(roles, starts, lens), lens)
                 del roles
-            del cell, known
+            del cell
             den -= shared
             sims = np.divide(shared, den, out=np.zeros(len(shared)), where=shared > 0)
             del den, shared
@@ -529,7 +524,7 @@ class FeatureExtractor:
         out[:, col("cs_career_diff")] = attrs[:, 0] - u_attrs[owner, 0]
         out[:, [col(f"cs_eq_{a}") for a in ATTRS[1:]]] = attrs[:, 1:] == u_attrs[owner, 1:]
         tok, starts, lens = _segments(*_csr([
-            [ix.vocab[t] for t in p.jobroles if t in ix.vocab] if p else [] for p in users
+            [ix.vocab[t] for t in p.jobroles if t in ix.vocab] for p in users
         ]), owner)
         out[:, [col(f"cs_jobroles_{f}") for f in TOKEN_FIELDS]] = _count(
             ix.tokens[:, np.repeat(rows, lens), tok], starts, lens).T
@@ -545,7 +540,7 @@ def _chunks(extractor: FeatureExtractor, per_user: list[tuple[int, list[int]]]):
     run, cost = [], 0
     for u, its in per_user:
         pairs = len(its) * (1 + len(ev.int_items(u)) + len(ev.imp_items(u)))
-        pairs += int(deg[[ix.row_of.get(i, 0) for i in its]].sum())
+        pairs += int(deg[_lookup(ix.row_of, its, "item")].sum())
         if run and cost + pairs > PAIR_BUDGET:
             yield run
             run, cost = [], 0

@@ -43,9 +43,10 @@ flips near-exact ties between features.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -76,6 +77,10 @@ class TrainConfig:
     base_margin: float | None = None
 
     def validate(self) -> None:
+        for name in ("min_child_weight", "gamma", "reg_lambda", "base_margin"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.num_round < 0:
@@ -90,6 +95,32 @@ class TrainConfig:
             raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
         if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
             raise ValueError("early_stopping_rounds must be >= 1 when set")
+
+
+# JSON value type -> the annotations it fits: an int field takes no float
+# or bool, a float field takes an int
+_FITS = {int: {int, float}, float: {float}, type(None): {type(None)}}
+
+
+def _load_config(path, raw) -> TrainConfig:
+    """A model file's "config" object as a valid `TrainConfig`: exactly its
+    fields, each of its annotated type; `ModelFormatError` names the field."""
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{path}: field 'config' holds {raw!r}, not an object")
+    hints = get_type_hints(TrainConfig)
+    if odd := sorted(raw.keys() ^ hints.keys()):
+        fault = "is missing" if odd[0] in hints else "is not a TrainConfig field"
+        raise ModelFormatError(f"{path}: config field {odd[0]!r} {fault}")
+    for f in fields(TrainConfig):
+        value, kinds = raw[f.name], {hints[f.name], *get_args(hints[f.name])}
+        if not _FITS.get(type(value), set()) & kinds:
+            raise ModelFormatError(f"{path}: config field {f.name!r} holds {value!r}, not {f.type}")
+    config = TrainConfig(**raw)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: config: {exc}") from None
+    return config
 
 
 def sigmoid(margin: np.ndarray | float) -> np.ndarray | float:
@@ -322,9 +353,8 @@ class GbdtModel:
         if best_round is not None and not _is_int(best_round):
             raise ModelFormatError(
                 f"{path}: field 'best_round' holds {best_round!r}, not an integer or null")
+        config = _load_config(path, doc.get("config"))
         try:
-            cfg_raw = dict(doc["config"])
-            config = TrainConfig(**cfg_raw)
             model = cls(
                 config=config,
                 base_margin=float(doc["base_margin"]),

@@ -7,8 +7,8 @@ only. Arrays and maps are read-only: a stray in-place write raises
 instead of corrupting another consumer.
 The count tables and per-user parts are built on first use:
 `token_overlap` by candidates or features, whichever reads it first, the
-rest by features only. Events on items missing from the item table are
-left out of every count.
+rest by features only. Events name only users and items of the variant's
+own tables: the index rejects a variant that breaks this.
 """
 
 from __future__ import annotations
@@ -121,6 +121,20 @@ class ItemClusterIndex:
         return self._neighbors.get(item_id, frozenset())
 
 
+def _check_references(dataset: Dataset) -> None:
+    """Raise `ValueError` naming the smallest user or item id that an event
+    names and the tables lack; every interaction is positive or a delete."""
+    ev = dataset.events
+    named = {"user": ev.by_user_interactions.keys() | ev.by_user_impressions.keys(),
+             "item": set().union(*map(ev.int_items, ev.by_user_interactions),
+                                 *map(ev.del_items, ev.by_user_interactions),
+                                 *map(ev.imp_items, ev.by_user_impressions))}
+    for table, known in (("user", dataset.users), ("item", dataset.items)):
+        if missing := named[table] - known.keys():
+            raise ValueError(f"an event names {table} {min(missing)}, "
+                             f"which is not in the {table} table")
+
+
 class DatasetIndex:
     """Item rows, tokens, attributes and popularity of one dataset variant.
 
@@ -128,10 +142,12 @@ class DatasetIndex:
     `row_of`); `tokens[f]` is the item x token indicator of field f of
     `TOKEN_FIELDS` over `vocab`. `now` and `now_week` are the variant's
     latest interaction timestamp and impression week. Per-item event
-    structures are derived here from the `EventLog`'s per-user logs.
+    structures are derived here from the `EventLog`'s per-user logs. An
+    event naming a user or item missing from the tables raises `ValueError`.
     """
 
     def __init__(self, dataset: Dataset) -> None:
+        _check_references(dataset)
         self._users = dataset.users
         self._items = dataset.items
         self._events = events = dataset.events
@@ -157,9 +173,8 @@ class DatasetIndex:
         self.lon = _frozen([np.nan if it.longitude is None else it.longitude for it in items])
 
         row_of = self.row_of
-        known = [(row_of[e.item_id], e.kind, e.timestamp)
-                 for e in events.interactions if e.item_id in row_of]
-        table = _frozen(np.array(known, dtype=np.int64).reshape(len(known), 3))
+        rows = [(row_of[e.item_id], e.kind, e.timestamp) for e in events.interactions]
+        table = _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), 3))
         self._ev_rows, self._ev_kinds, self._ev_ts = table.T
         self._ev_positive = _frozen(np.isin(self._ev_kinds, list(POSITIVE_KINDS)))
         self.positive_counts = _frozen(self.count_interactions(self._ev_positive))
@@ -222,21 +237,12 @@ class DatasetIndex:
     @cached_property
     def item_users(self) -> Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(item x user indicator, item degrees, user degrees) per source:
-        "int" for positive interactions, "imp" for impressions.
-
-        Built from the per-user item sets, so events on unknown items stay
-        out. A user missing from the user table with a positive interaction
-        or an impression on a known item raises `ValueError`.
-        """
-        ev, row_of, user_row, out = self._events, self.row_of, self.user_row, {}
-        for src, logs, items_of in (("int", ev.by_user_interactions, ev.int_items),
-                                    ("imp", ev.by_user_impressions, ev.imp_items)):
-            for u in logs:
-                if u not in user_row and any(i in row_of for i in items_of(u)):
-                    raise ValueError(f"user {u} has events on known items "
-                                     "but is not in the user table")
-            sets = [[i for i in items_of(u) if i in row_of] for u in user_row]
-            m = _frozen(np.ascontiguousarray(indicator_matrix(sets, row_of).T))
+        "int" for positive interactions, "imp" for impressions, built from
+        the per-user item sets in `user_row` order."""
+        ev, out = self._events, {}
+        for src, items_of in (("int", ev.int_items), ("imp", ev.imp_items)):
+            sets = [items_of(u) for u in self.user_row]
+            m = _frozen(np.ascontiguousarray(indicator_matrix(sets, self.row_of).T))
             out[src] = (m, *(_frozen(m.sum(axis=a, dtype=np.int64)) for a in (1, 0)))
         return MappingProxyType(out)
 
@@ -248,14 +254,10 @@ class DatasetIndex:
 
     @cached_property
     def user_item_lists(self) -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
-        """Each user's items per source, as CSR in `user_row` order plus one
-        last, empty row for users missing from the user table: (pointers,
+        """Each user's items per source, as CSR in `user_row` order: (pointers,
         item rows ascending)."""
-        out = {}
-        for src, (mat, _, _) in self.item_users.items():
-            ptr, items = _nonzero_lists(mat.T)
-            out[src] = (_frozen(np.append(ptr, ptr[-1])), _frozen(items))
-        return MappingProxyType(out)
+        return MappingProxyType({src: tuple(map(_frozen, _nonzero_lists(mat.T)))
+                                 for src, (mat, _, _) in self.item_users.items()})
 
     @cached_property
     def co_users(self) -> Mapping[str, np.ndarray]:
@@ -326,7 +328,7 @@ class DatasetIndex:
         for kind in InteractionKind:
             pop[f"pop_{kind.name.lower()}"] = count(kinds == kind)
         row_of = self.row_of
-        imp_rows = [row_of[im.item_id] for im in self._events.impressions if im.item_id in row_of]
+        imp_rows = [row_of[im.item_id] for im in self._events.impressions]
         pop["pop_imp_total"] = np.bincount(np.array(imp_rows, dtype=np.int64),
                                            minlength=len(self.item_ids))
         week_lo = self.now - 7 * DAY_SECONDS

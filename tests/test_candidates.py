@@ -72,8 +72,8 @@ def tiny_dataset(draw):
 
     Tags and titles draw from one token pool, empty sets included; job
     roles also draw tokens 8-11, which no item carries. User n+1 has no
-    events, user n+2 only impressions, and tests add user 99, who is not
-    in the user table; about one dataset in four has no active item."""
+    events and user n+2 only impressions; about one dataset in four has
+    no active item."""
     tokens = st.frozensets(st.integers(0, 7), max_size=4)
     n_users, n_items = draw(st.integers(1, 5)), draw(st.integers(1, 7))
     viewer = n_users + 2
@@ -439,8 +439,13 @@ class TestOracleSweep:
     def test_random_datasets_match(self, case):
         ds, cap, neighbors = case
         gen = CandidateGenerator(ds, cap, neighbors)
-        for u in [*ds.users, 99]:
+        for u in ds.users:
             assert gen.generate(u).ranks == oracles.merged_oracle(ds, u, cap, neighbors), u
+
+    def test_user_missing_from_the_table_rejected(self):
+        ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)])
+        with pytest.raises(ValueError, match="^user 99 is not in the user table$"):
+            CandidateGenerator(ds).generate(99)
 
     def test_small_cap_respected(self):
         rng = np.random.default_rng(78)

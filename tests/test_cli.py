@@ -144,6 +144,26 @@ class TestFailures:
         assert str(result.exception) == "neighbor_count must be >= 0, got -1"
         assert not out.exists()
 
+    @pytest.mark.parametrize("column, missing, table", [(0, 77, "user"), (1, 999, "item")],
+                             ids=["user", "item"])
+    def test_candidates_naming_a_missing_id_rejected(self, chain, tmp_path, column, missing,
+                                                     table):
+        """Synth users are 1..60 and synth items start above 100000."""
+        runner, _, _, split = chain
+        lines = (split / "cands.tsv").read_text().splitlines()
+        cells = lines[-1].split("\t")
+        cells[column] = str(missing)
+        bad = tmp_path / "cands.tsv"
+        bad.write_text("\n".join([*lines, "\t".join(cells)]) + "\n")
+        out = tmp_path / "full.npz"
+        result = runner.invoke(main, [
+            "features", "--data", str(split), "--candidates", str(bad), "--out", str(out),
+        ])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == f"{table} {missing} is not in the {table} table"
+        assert not out.exists()
+
     def test_invalid_synth_sizes_nonzero_exit(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [

@@ -450,13 +450,28 @@ class TestCandidatePosition:
         with pytest.raises(ValueError):
             ext.block([(1, 101)])
 
-    def test_own_event_on_unknown_item_names_user_and_item(self):
-        ds = make_dataset([make_user(1)], [make_item(101), make_item(102)],
-                          [ev(1, 101, ts=1)], [imp(5, 999, 0)], targets=[1, 5])
-        cands = CandidateGenerator(ds).generate_all([1, 5])
-        assert set(cands) == {1, 5} and len(cands[5]) > 0
-        with pytest.raises(ValueError, match=r"user 5 .*item 999"):
+    def test_user_missing_from_the_table_rejected(self):
+        ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)])
+        ext = FeatureExtractor(ds, {u: cand_list(u, [101]) for u in (1, 99)})
+        with pytest.raises(ValueError, match="^user 99 is not in the user table$"):
+            ext.block([(1, 101), (99, 101)])
+
+    def test_candidate_item_missing_from_the_table_rejected(self):
+        ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)])
+        cands = {1: cand_list(1, [101, 999])}
+        with pytest.raises(ValueError, match="^item 999 is not in the item table$"):
+            FeatureExtractor(ds, cands).block([(1, 999)])
+        with pytest.raises(ValueError, match="^item 999 is not in the item table$"):
             build_matrix(ds, cands)
+
+    def test_own_event_on_unknown_item_rejected_by_index(self):
+        ds = make_dataset([make_user(1), make_user(5)], [make_item(101), make_item(102)],
+                          [ev(1, 101, ts=1)], [imp(5, 999, 0)])
+        message = "an event names item 999, which is not in the item table"
+        with pytest.raises(ValueError, match=message):
+            CandidateGenerator(ds)
+        with pytest.raises(ValueError, match=message):
+            build_matrix(ds, {1: cand_list(1, [101])})
 
     def test_ranks_match_saved_candidates(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -775,10 +790,10 @@ def bits(values):
 
 @st.composite
 def tiny_variant(draw, lonely_item=False):
-    """A small random dataset plus a candidate list for every user, one
-    user id absent from the user table among them. Every list holds every
-    item, so self-pairs and items without geo or created_at are scored.
-    With lonely_item, one more item that no event names is in every list."""
+    """A small random dataset plus a candidate list for every user. Every
+    list holds every item, so self-pairs and items without geo or
+    created_at are scored. With lonely_item, one more item that no event
+    names is in every list."""
     small = st.integers(0, 2)
     tokens = st.frozensets(st.integers(0, 7), max_size=4)
 
@@ -786,7 +801,7 @@ def tiny_variant(draw, lonely_item=False):
         return {a: draw(small) for a in ("career_level", "discipline_id", "industry_id", "country", "region")}
 
     n_users, n_items = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    idle, viewer, absent = n_users + 1, n_users + 2, 99
+    idle, viewer = n_users + 1, n_users + 2
     users = [make_user(u, jobroles=draw(tokens), **attrs()) for u in range(1, n_users + 3)]
     items = []
     for i in range(100, 100 + n_items):
@@ -810,7 +825,7 @@ def tiny_variant(draw, lonely_item=False):
                               min_size=1, max_size=3))
     ds = make_dataset(users, items, rows, imps)
     cands = {}
-    for u in [*range(1, n_users + 1), idle, viewer, absent]:
+    for u in [*range(1, n_users + 1), idle, viewer]:
         cl = CandidateList(u)
         for rank, i in enumerate(draw(st.permutations(sorted(ds.items))), start=1):
             cl.add(i, draw(st.sampled_from(SLOT_NAMES)), rank)
@@ -854,8 +869,8 @@ class TestBuildMatrixMatchesOracle:
     def test_batched_matrix_bit_equal(self, variant, data):
         ds, cands = variant
         # every list holds every item: the idle user, the impressions-only
-        # user, the user missing from the user table and the item no event
-        # names are all in the pool; a permutation interleaves the users
+        # user and the item no event names are all in the pool; a
+        # permutation interleaves the users
         pool = [(u, i) for u, cl in cands.items() for i in cl.items()]
         rows = data.draw(st.permutations(pool))
         rows += data.draw(st.lists(st.sampled_from(pool), max_size=8))  # repeated pairs

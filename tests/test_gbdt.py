@@ -328,6 +328,12 @@ class TestValidation:
             TrainConfig(num_round=-1).validate()
         TrainConfig().validate()
 
+    @pytest.mark.parametrize("name", ["gamma", "reg_lambda", "min_child_weight", "base_margin"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_hyperparameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            TrainConfig(**{name: value}).validate()
+
     def test_predict_width_checked(self):
         model = train(np.zeros((4, 2)), np.array([0.0, 1, 0, 1]), TrainConfig(num_round=0))
         with pytest.raises(ValueError):
@@ -425,6 +431,55 @@ class TestSerialization:
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
         assert back.feature_names == model.feature_names
         assert back.base_margin == model.base_margin
+        back.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    # case -> (config field, new value or DROP to delete it, error message)
+    DROP = object()
+    BAD_CONFIG = {
+        "missing field": ("eta", DROP, r"config field 'eta' is missing"),
+        "unknown field": ("seed", 0, r"config field 'seed' is not a TrainConfig field"),
+        "float for int": ("max_depth", 5.0, r"config field 'max_depth' holds 5\.0, not int"),
+        "bool for int": ("num_round", True, r"config field 'num_round' holds True, not int"),
+        "string for int": ("max_depth", "x", r"config field 'max_depth' holds 'x', not int"),
+        "bool for float": ("gamma", False, r"config field 'gamma' holds False, not float"),
+        "null for float": ("eta", None, r"config field 'eta' holds None, not float"),
+        "float for optional int": ("early_stopping_rounds", 2.5,
+                                   r"config field 'early_stopping_rounds' holds 2\.5, not int \| None"),
+        "out of range": ("eta", 7.5, r"config: eta must be in \(0, 1\], got 7\.5"),
+        "not finite": ("gamma", float("nan"), r"config: gamma must be finite, got nan"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_CONFIG))
+    def test_malformed_config_rejected(self, tmp_path, case):
+        name, value, match = self.BAD_CONFIG[case]
+        model, _ = self.make_model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        if value is self.DROP:
+            del doc["config"][name]
+        else:
+            doc["config"][name] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=rf"model\.json: {match}"):
+            GbdtModel.load(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("eta", 1), ("gamma", 0), ("early_stopping_rounds", None), ("early_stopping_rounds", 4),
+        ("base_margin", None), ("base_margin", -2),
+    ])
+    def test_config_of_the_annotated_type_loads(self, tmp_path, name, value):
+        model, _ = self.make_model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        doc["config"][name] = value
+        path.write_text(json.dumps(doc))
+        back = GbdtModel.load(path)
+        assert getattr(back.config, name) == value
+        back.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == path.read_text()
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"

@@ -78,38 +78,74 @@ class TestReadOnly:
 
 
 class TestLazy:
-    def test_candidates_tolerate_unknown_items_and_skip_feature_parts(self):
-        # item 999 is referenced by events but missing from the item table
-        rows = [ev(1, 101, ts=1), ev(2, 999, ts=2), ev(2, 999, ts=3), ev(1, 102, ts=4)]
+    def test_candidates_skip_feature_parts(self):
+        rows = [ev(1, 101, ts=1), ev(2, 102, ts=2), ev(2, 102, ts=3), ev(1, 101, ts=4)]
         ds = make_dataset([make_user(1), make_user(2)],
                           [make_item(101), make_item(102, active=False)], rows)
         gen = CandidateGenerator(ds)
         assert gen.gen_popular() == [101]
         assert gen.generate(2).items() == [101]
-        assert ds.index.positive_counts.tolist() == [1, 1]
+        assert ds.index.positive_counts.tolist() == [2, 2]
         assert not set(_FEATURE_PARTS) & set(vars(ds.index))
         assert set(_SHARED_PARTS) <= set(vars(ds.index))
 
 
+class TestUnknownItems:
+    @pytest.mark.parametrize("rows, shown, smallest", [
+        ([ev(1, 101, ts=1), ev(2, 999, ts=2), ev(2, 998, "bookmark", ts=3)], [], 998),
+        ([ev(1, 101, ts=1), ev(2, 998, "delete", ts=2)], [], 998),
+        ([ev(1, 101, ts=1)], [imp(2, 999, 0), imp(2, 997, 1)], 997),
+    ], ids=["positive", "delete", "impression"])
+    def test_event_on_a_missing_item_rejected_at_index(self, rows, shown, smallest):
+        ds = make_dataset([make_user(1), make_user(2)], [make_item(101)], rows, shown)
+        with pytest.raises(ValueError, match=f"an event names item {smallest}, "
+                                             "which is not in the item table"):
+            ds.index
+        with pytest.raises(ValueError, match=f"item {smallest}"):
+            CandidateGenerator(ds)
+
+
 class TestUnknownUsers:
+    """Every event by user 77, who is not in the user table, fails at the
+    variant's first `Dataset.index` access, whatever the stage."""
+
     def test_features_name_a_user_missing_from_the_table(self):
-        # user 77 clicked known items but is not in the user table
         rows = [ev(1, 101, ts=1), ev(77, 101, ts=2), ev(77, 102, ts=3)]
         ds = make_dataset([make_user(1)], [make_item(101), make_item(102)], rows)
-        lists = CandidateGenerator(ds).generate_all([1])
-        assert set(lists[1].items()) == {101, 102}
-        with pytest.raises(ValueError, match="user 77 "):
-            build_matrix(ds, lists)
+        message = "an event names user 77, which is not in the user table"
+        with pytest.raises(ValueError, match=message):
+            ds.index
+        with pytest.raises(ValueError, match=message):
+            build_matrix(ds, {})
 
     def test_impressions_of_a_missing_user_fail_too(self):
         ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)],
                           [imp(77, 101, 0)])
-        with pytest.raises(ValueError, match="user 77 "):
-            ds.index.item_users
+        with pytest.raises(ValueError, match="an event names user 77, "):
+            ds.index
 
-    def test_deletes_and_unknown_items_of_a_missing_user_pass(self):
-        rows = [ev(1, 101, ts=1), ev(77, 101, "delete", ts=2), ev(78, 999, ts=3)]
-        ds = make_dataset([make_user(1)], [make_item(101)], rows, [imp(79, 999, 0)])
-        matrix = build_matrix(ds, CandidateGenerator(ds).generate_all([1]))
-        assert matrix.item_ids.tolist() == [101]
-        assert ds.index.item_users["int"][0].tolist() == [[1]]
+    def test_deletes_of_a_missing_user_fail_too(self):
+        rows = [ev(1, 101, ts=1), ev(77, 101, "delete", ts=2)]
+        ds = make_dataset([make_user(1)], [make_item(101)], rows)
+        with pytest.raises(ValueError, match="an event names user 77, "):
+            ds.index
+
+
+class TestOneUserRelation:
+    def test_top_k_jaccard_matches_shared_items(self, variant):
+        """The similar-user generators' Jaccard and the one features derive
+        from `shared_items` and the user degrees agree on every pair."""
+        _, train, _ = variant
+        gen, index = CandidateGenerator(train), train.index
+        users = list(index.user_row)
+        for src, sets in (("int", gen._int_index), ("imp", gen._imp_index)):
+            shared, (_, _, deg) = index.shared_items[src], index.item_users[src]
+            pairs = 0
+            for u in sets.forward:
+                got = {nb.id: nb.score for nb in sets.top_k_jaccard(u, len(sets))}
+                r = index.user_row[u]
+                want = {v: int(shared[r, c]) / int(deg[r] + deg[c] - shared[r, c])
+                        for c, v in enumerate(users) if v != u and shared[r, c]}
+                assert got == want, (src, u)
+                pairs += len(want)
+            assert pairs > 0

@@ -304,15 +304,15 @@ class TestBaselineRecency:
     @given(st.data())
     def test_random_datasets_match_oracle(self, data):
         """Few timestamps and weeks give ties; clicks and impressions share
-        one item pool, so items are both clicked and shown; item 999 is not
-        in the item table; user 9 has events but is not in the user table."""
+        one item pool, so items are both clicked and shown; user 9 has no
+        events and is not in the user table."""
         n_users, n_items = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
         items = [
             make_item(i, active=data.draw(st.sampled_from([True, True, False])))
             for i in range(100, 100 + n_items)
         ]
-        pool = st.integers(100, 100 + n_items - 1) | st.just(999)
-        user = st.integers(1, n_users) | st.just(9)
+        pool = st.integers(100, 100 + n_items - 1)
+        user = st.integers(1, n_users)
         rows = data.draw(st.lists(
             st.builds(ev, user, pool, st.sampled_from(sorted(KIND)),
                       st.sampled_from([0, 5, WEEK_SECONDS, 2 * WEEK_SECONDS + 1])),
@@ -345,14 +345,14 @@ class TestBaselinePopular:
     @given(st.data())
     def test_random_datasets_match_oracle(self, data):
         """Few events over few items give ties in counts; items past the
-        event pool never occur; item 999 is not in the item table; user 9
-        has no events and is not in the user table."""
+        event pool never occur; user 9 has no events and is not in the user
+        table."""
         n_users, n_items = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
         items = [
             make_item(i, active=data.draw(st.sampled_from([True, True, False])))
             for i in range(100, 100 + n_items)
         ]
-        pool = st.integers(100, 100 + min(n_items, 5) - 1) | st.just(999)
+        pool = st.integers(100, 100 + min(n_items, 5) - 1)
         rows = data.draw(st.lists(
             st.builds(ev, st.integers(1, n_users), pool, st.sampled_from(sorted(KIND)),
                       st.integers(0, 10**6)),
@@ -384,8 +384,8 @@ class TestPredictionIO:
 
     def test_duplicate_user_rejected(self, tmp_path):
         path = tmp_path / "preds.tsv"
-        path.write_text("user_id\titems\n1\t5 6\n1\t7\n")
-        with pytest.raises(ValueError):
+        path.write_text("1\t5 6\n1\t7\n")
+        with pytest.raises(ValueError, match=r":2: duplicate user 1"):
             load_predictions(path)
 
     def test_empty_prediction_line_allowed(self, tmp_path):
