@@ -97,10 +97,10 @@ class CandidateList:
 class CandidateGenerator:
     """All nine generators over one dataset variant.
 
-    Item rows, token indicators and the popularity and recency rankings
-    come from the variant's shared `Dataset.index`; the constructor adds
-    the user neighbour indexes. Only the per-user recency cache changes
-    afterwards.
+    Item rows, token indicators, user item sets, job-role tokens and the
+    popularity and recency rankings come from the variant's shared
+    `Dataset.index`; the constructor adds the content-knn overlap table.
+    Only the per-user recency cache changes afterwards.
     """
 
     def __init__(
@@ -114,20 +114,16 @@ class CandidateGenerator:
         if neighbor_count < 0:
             raise ValueError(f"neighbor_count must be >= 0, got {neighbor_count}")
         self.dataset = dataset
-        self.events = ev = dataset.events
+        self.events = dataset.events
         self.index = index = dataset.index
         self.cap = cap
         self.neighbor_count = neighbor_count
 
         self.active_ids = index.active_ids
 
-        self._int_index = SparseSetIndex(
-            {u: s for u in ev.by_user_interactions if (s := ev.int_items(u))}
-        )
-        self._imp_index = SparseSetIndex({u: ev.imp_items(u) for u in ev.by_user_impressions})
-
-        # (V, 2A): token x active item, the tags block then the title block
-        self._tok_act = np.concatenate([f[index.active_rows].T for f in index.tokens], axis=1)
+        user_ids = np.fromiter(index.user_row, dtype=np.int64, count=len(index.user_row))
+        self._neighbors = {source: SparseSetIndex(index.item_users[src][0], user_ids)
+                           for source, src in (("interactions", "int"), ("impressions", "imp"))}
         # (items, 4A): each item's token overlap with each active item, one block
         # per (source field, candidate field); cross-field blocks need only the
         # tokens both fields hold, summed exactly in float32 below 2**24
@@ -178,12 +174,11 @@ class CandidateGenerator:
         return self.recent_items(user_id, "impressions")[: self.cap]
 
     def gen_similar_user_items(self, user_id: int, source: str) -> list[int]:
-        index = self._int_index if source == "interactions" else self._imp_index
-        neighbors = index.top_k_jaccard(user_id, self.neighbor_count)
+        neighbors, _ = self._neighbors[source].top_k_jaccard(user_id, self.neighbor_count)
         out: list[int] = []
         seen: set[int] = set()
-        for nb in neighbors:
-            for item in self.recent_items(nb.id, source):
+        for nb in neighbors.tolist():
+            for item in self.recent_items(nb, source):
                 if item in seen:
                     continue
                 seen.add(item)
@@ -209,12 +204,11 @@ class CandidateGenerator:
         }
 
     def gen_jobroles_match(self, user_id: int, field: str) -> list[int]:
-        vocab = self.index.vocab
-        cols = [vocab[t] for t in self.dataset.users[user_id].jobroles if t in vocab]
-        n_act = len(self.active_ids)
-        start = TOKEN_FIELDS.index(field) * n_act
-        scores = self._tok_act[cols, start:start + n_act].sum(axis=0, dtype=np.int64)
-        return self._rank_scored(scores, self.cap)
+        index = self.index
+        ptr, cols = index.role_tokens
+        r = index.user_row[user_id]
+        tokens = index.tokens[TOKEN_FIELDS.index(field)][:, cols[ptr[r]:ptr[r + 1]]]
+        return self._rank_scored(tokens.sum(axis=1, dtype=np.int64)[index.active_rows], self.cap)
 
     def gen_popular(self) -> list[int]:
         return self._popular

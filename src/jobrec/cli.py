@@ -37,7 +37,19 @@ def common_options(fn):
     return fn
 
 
-@click.group()
+class _Group(click.Group):
+    """Bad input (a `ValueError`, which includes `DataFormatError` and
+    `ModelFormatError`) from any subcommand ends it with one `Error:` line
+    and exit code 1, not a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Two-stage job recommender pipeline."""
 

@@ -213,13 +213,6 @@ _SLOT_OF = {slot: k for k, slot in enumerate(SLOT_NAMES)}
 _WEEK = attrgetter("week")
 
 
-def _csr(lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pointers and concatenated members of integer lists."""
-    ptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum([len(x) for x in lists], out=ptr[1:])
-    return ptr, np.fromiter(chain.from_iterable(lists), dtype=np.int32, count=ptr[-1])
-
-
 def _segments(ptr: np.ndarray, flat: np.ndarray, owner: np.ndarray):
     """Row r's segment of a pair list holds flat[ptr[owner[r]]:ptr[owner[r] + 1]].
 
@@ -354,7 +347,6 @@ class FeatureExtractor:
             "uir_user": window_counts(last_any),
             "uir_data": uir_data,
             "cluster_hits": cluster_hits,
-            "user": self.dataset.users[user_id],
         }
 
     # ------------------------------------------------------------ main block
@@ -386,8 +378,7 @@ class FeatureExtractor:
         states = [self._user_state(u) for u in slot_of]
         owner = np.array(owner_list, dtype=np.int64)  # each row's user, as an index of `states`
         attrs = ix.attrs[rows]
-        users = [st["user"] for st in states]
-        u_attrs = np.array([[getattr(p, a) for a in ATTRS] for p in users], dtype=np.int64)
+        u_attrs = ix.user_attrs[user_rows]
         me = user_rows[owner].astype(np.int32)
 
         # ---- user-level columns: one gather of the users' values
@@ -523,9 +514,7 @@ class FeatureExtractor:
         # ---- content similarity
         out[:, col("cs_career_diff")] = attrs[:, 0] - u_attrs[owner, 0]
         out[:, [col(f"cs_eq_{a}") for a in ATTRS[1:]]] = attrs[:, 1:] == u_attrs[owner, 1:]
-        tok, starts, lens = _segments(*_csr([
-            [ix.vocab[t] for t in p.jobroles if t in ix.vocab] for p in users
-        ]), owner)
+        tok, starts, lens = _segments(*ix.role_tokens, me)
         out[:, [col(f"cs_jobroles_{f}") for f in TOKEN_FIELDS]] = _count(
             ix.tokens[:, np.repeat(rows, lens), tok], starts, lens).T
         return out

@@ -99,7 +99,15 @@ class TrainConfig:
 
 # JSON value type -> the annotations it fits: an int field takes no float
 # or bool, a float field takes an int
-_FITS = {int: {int, float}, float: {float}, type(None): {type(None)}}
+_FITS = {int: {int, float}, float: {float}, str: {str}, type(None): {type(None)}}
+
+
+def _list_fault(value, kind: type) -> str | None:
+    """Why a JSON value is not a list of `kind` values under `_FITS`; None if it is."""
+    if not isinstance(value, list):
+        return f"holds {value!r}, not a list"
+    bad = [v for v in value if kind not in _FITS.get(type(v), ())]
+    return f"holds {bad[0]!r}, not {kind.__name__}" if bad else None
 
 
 def _load_config(path, raw) -> TrainConfig:
@@ -354,13 +362,22 @@ class GbdtModel:
             raise ModelFormatError(
                 f"{path}: field 'best_round' holds {best_round!r}, not an integer or null")
         config = _load_config(path, doc.get("config"))
+        margin, history = doc.get("base_margin"), doc.get("eval_history")
+        if float not in _FITS.get(type(margin), ()) or not math.isfinite(margin):
+            raise ModelFormatError(f"{path}: field 'base_margin' holds {margin!r}, not a finite float")
+        if not isinstance(history, dict):
+            raise ModelFormatError(f"{path}: field 'eval_history' holds {history!r}, not an object")
+        for name, value, kind in [("feature_names", doc.get("feature_names"), str),
+                                  *((f"eval_history.{k}", vs, float) for k, vs in history.items())]:
+            if fault := _list_fault(value, kind):
+                raise ModelFormatError(f"{path}: field {name!r} {fault}")
         try:
             model = cls(
                 config=config,
-                base_margin=float(doc["base_margin"]),
+                base_margin=float(margin),
                 trees=[Tree.from_dict(t) for t in doc["trees"]],
-                feature_names=[str(n) for n in doc["feature_names"]],
-                eval_history={k: [float(v) for v in vs] for k, vs in doc["eval_history"].items()},
+                feature_names=list(doc["feature_names"]),
+                eval_history={k: [float(v) for v in vs] for k, vs in history.items()},
                 best_round=best_round,
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -5,22 +5,22 @@ Candidates, features and the baselines read a dataset variant through
 popularity ranking and the per-user recency ranking are decided here
 only. Arrays and maps are read-only: a stray in-place write raises
 instead of corrupting another consumer.
-The count tables and per-user parts are built on first use:
-`token_overlap` by candidates or features, whichever reads it first, the
-rest by features only. Events name only users and items of the variant's
-own tables: the index rejects a variant that breaks this.
+The count tables and per-user parts are built on first use: `user_row`,
+`item_users`, `role_tokens` and `token_overlap` by candidates or features,
+whichever reads them first, the rest by features only. Events name only
+users and items of the variant's own tables: the index rejects a variant
+that breaks this.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .entities import DAY_SECONDS, WEEK_SECONDS, Dataset, InteractionKind, POSITIVE_KINDS
-from .similarity import indicator_matrix
 
 SENTINEL = -1.0
 GEO_SENTINEL = -999.0
@@ -44,6 +44,14 @@ def shared_token_vocab(items: list) -> dict[int, int]:
         for tok in sorted(it.tags | it.title):
             vocab.setdefault(tok, len(vocab))
     return vocab
+
+
+def indicator_matrix(sets: Sequence[Iterable[int]], col_of: Mapping[int, int]) -> np.ndarray:
+    """Dense 0/1 uint8 matrix with one row per set and one column per id of `col_of`."""
+    out = np.zeros((len(sets), len(col_of)), dtype=np.uint8)
+    rows = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    out[rows, [col_of[m] for s in sets for m in s]] = 1
+    return out
 
 
 def _count_product(a: np.ndarray, bound: int) -> np.ndarray:
@@ -202,13 +210,11 @@ class DatasetIndex:
                 if ev.kind not in POSITIVE_KINDS:
                     continue
                 week = ev.timestamp // WEEK_SECONDS
-                if week > latest.get(ev.item_id, -1):
-                    latest[ev.item_id] = week
+                latest[ev.item_id] = max(latest.get(ev.item_id, week), week)
                 count[ev.item_id] = count.get(ev.item_id, 0) + 1
         elif source == "impressions":
             for im in self._events.impressions_of(user_id):
-                if im.week > latest.get(im.item_id, -1):
-                    latest[im.item_id] = im.week
+                latest[im.item_id] = max(latest.get(im.item_id, im.week), im.week)
                 count[im.item_id] = count.get(im.item_id, 0) + 1
         else:
             raise ValueError(f"unknown event source {source!r}")
@@ -217,11 +223,22 @@ class DatasetIndex:
             key=lambda i: (-latest[i], -count[i], i),
         )
 
-    # ------------------- lazy; features only, but token_overlap is shared
+    # ------------ lazy; the module docstring names the parts candidates share
 
     @cached_property
     def user_row(self) -> Mapping[int, int]:
         return MappingProxyType({u: r for r, u in enumerate(sorted(self._users))})
+
+    @cached_property
+    def role_tokens(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each user's job roles that are item tokens, as CSR in `user_row`
+        order: (pointers, `vocab` columns ascending)."""
+        vocab = self.vocab
+        lists = [sorted(vocab[t] for t in self._users[u].jobroles if t in vocab)
+                 for u in self.user_row]
+        ptr = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum([len(x) for x in lists], out=ptr[1:])
+        return _frozen(ptr), _frozen(np.array([c for x in lists for c in x], dtype=np.int32))
 
     @cached_property
     def user_attrs(self) -> np.ndarray:

@@ -81,13 +81,13 @@ def recent_oracle(dataset, user_id, source):
     if source == "interactions":
         for e in positive_events(dataset, user_id):
             week = e.timestamp // WEEK_SECONDS
-            latest[e.item_id] = max(latest.get(e.item_id, -1), week)
+            latest[e.item_id] = max(latest.get(e.item_id, week), week)
             count[e.item_id] = count.get(e.item_id, 0) + 1
     else:
         for im in dataset.events.impressions:
             if im.user_id != user_id:
                 continue
-            latest[im.item_id] = max(latest.get(im.item_id, -1), im.week)
+            latest[im.item_id] = max(latest.get(im.item_id, im.week), im.week)
             count[im.item_id] = count.get(im.item_id, 0) + 1
     act = active_set(dataset)
     return sorted(

