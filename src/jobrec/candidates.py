@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dataio import INT, OPT_INT, DataFormatError, _read_table, _row_error, _write_tsv
+from .dataio import INT, Cell, DataFormatError, _read_table, _row_error, _write_tsv
 from .entities import Dataset
 from .index import TOKEN_FIELDS
 from .similarity import SparseSetIndex
@@ -69,9 +69,19 @@ SLOT_COLUMNS: list[tuple[GeneratorId, str]] = (
 
 SLOT_NAMES: list[str] = [col for _, col in SLOT_COLUMNS]
 
+
+def _rank(raw: str) -> int | None:
+    if not raw:
+        return None
+    rank = int(raw)
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    return rank
+
+
 # candidate file columns; a blank rank means the slot did not rank the item
 _CANDIDATE_COLUMNS = {"user_id": ("user_id", INT), "item_id": ("item_id", INT),
-                      **{col: (col, OPT_INT) for col in SLOT_NAMES}}
+                      **{col: (col, Cell(_rank, str)) for col in SLOT_NAMES}}
 
 
 class CandidateList:
@@ -121,8 +131,7 @@ class CandidateGenerator:
 
         self.active_ids = index.active_ids
 
-        user_ids = np.fromiter(index.user_row, dtype=np.int64, count=len(index.user_row))
-        self._neighbors = {source: SparseSetIndex(index.item_users[src][0], user_ids)
+        self._neighbors = {source: SparseSetIndex(index.item_users[src][0], index.user_ids)
                            for source, src in (("interactions", "int"), ("impressions", "imp"))}
         # (items, 4A): each item's token overlap with each active item, one block
         # per (source field, candidate field); cross-field blocks need only the
@@ -275,7 +284,9 @@ def load_candidates(path: str | Path) -> dict[int, CandidateList]:
     for lineno, cells in _read_table(path, _CANDIDATE_COLUMNS):
         try:
             uid, item = int(cells[0]), int(cells[1])
-            ranks = {slot: int(raw) for slot, raw in zip(SLOT_NAMES, cells[2:]) if raw}
+            ranks = {slot: _rank(raw) for slot, raw in zip(SLOT_NAMES, cells[2:]) if raw}
+            if not ranks:
+                raise ValueError(f"item {item} has no rank in any slot")
         except ValueError as exc:
             raise _row_error(path, lineno, _CANDIDATE_COLUMNS, cells, exc) from None
         cl = out.get(uid)

@@ -16,6 +16,12 @@ Contract at the file boundary:
   its fields) or duplicate key (user id, item id, target user, ground-truth
   user) raises `DataFormatError` naming `file:line`, and the column where
   one cell is at fault.
+- User and item ids are non-negative and fit int64, in every table and in
+  the ground truth; timestamps fit int64 and may be negative.
+- Interactions and impressions load as int64 column tables
+  (`InteractionTable`, `ImpressionTable`): each column is parsed in one
+  pass, and only a column that fails is scanned row by row for the
+  `file:line` of its first bad cell.
 - Events and target users that name unknown user/item ids are dropped by
   `load_dataset`, counted in `Dataset.row_counts` and logged as a warning.
   A dataset built in memory is not filtered: its `Dataset.index` rejects
@@ -30,9 +36,19 @@ import math
 from datetime import date
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
-from .entities import Dataset, EventLog, Impression, Interaction, InteractionKind, Item, User
+import numpy as np
+
+from .entities import (
+    Dataset,
+    EventLog,
+    ImpressionTable,
+    InteractionKind,
+    InteractionTable,
+    Item,
+    User,
+)
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +72,24 @@ class Cell(NamedTuple):
 
     parse: Callable[[str], object]
     format: Callable[[object], str]
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int64(raw: str) -> int:
+    value = int(raw)
+    if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+        raise ValueError(f"{value} does not fit in int64")
+    return value
+
+
+def _id(raw: str) -> int:
+    """A user or item id: non-negative and within int64."""
+    value = _int64(raw)
+    if value < 0:
+        raise ValueError(f"negative id {value}")
+    return value
 
 
 def _ids(raw: str) -> frozenset[int]:
@@ -88,12 +122,16 @@ def _coordinate(raw: str) -> float | None:
 
 
 INT = Cell(int, str)
+INT64 = Cell(_int64, str)
+ID = Cell(_id, str)
 OPT_INT = Cell(lambda raw: int(raw) if raw else 0, str)
 OPT_TIMESTAMP = Cell(lambda raw: int(raw) if raw else None, lambda v: "" if v is None else str(v))
 OPT_FLOAT = Cell(_coordinate, lambda v: "" if v is None else repr(v))
 ID_SET = Cell(_ids, lambda s: ",".join([str(t) for t in sorted(s)]))
-ID_LIST = Cell(lambda raw: [int(tok) for tok in raw.split(",")],
+ID_LIST = Cell(lambda raw: [_id(tok) for tok in raw.split(",")],
                lambda ids: ",".join([str(i) for i in ids]))
+ITEM_SET = Cell(lambda raw: frozenset(ID_LIST.parse(raw)) if raw else frozenset(),
+                ID_SET.format)
 FLAG = Cell(_flag, {False: "0", True: "1"}.__getitem__)
 KIND = Cell(_kind, {k: str(int(k)) for k in InteractionKind}.__getitem__)
 
@@ -103,7 +141,7 @@ KIND = Cell(_kind, {k: str(int(k)) for k in InteractionKind}.__getitem__)
 Columns = Mapping[str, tuple[str, Cell]]
 
 USER_COLUMNS: Columns = {
-    "id": ("id", INT),
+    "id": ("id", ID),
     "jobroles": ("jobroles", ID_SET),
     **{c: (c, OPT_INT) for c in (
         "career_level", "discipline_id", "industry_id", "country", "region",
@@ -113,7 +151,7 @@ USER_COLUMNS: Columns = {
 }
 
 ITEM_COLUMNS: Columns = {
-    "id": ("id", INT),
+    "id": ("id", ID),
     "title": ("title", ID_SET),
     **{c: (c, OPT_INT) for c in (
         "career_level", "discipline_id", "industry_id", "country", "region")},
@@ -126,23 +164,23 @@ ITEM_COLUMNS: Columns = {
 }
 
 INTERACTION_COLUMNS: Columns = {
-    "user_id": ("user_id", INT),
-    "item_id": ("item_id", INT),
+    "user_id": ("user_id", ID),
+    "item_id": ("item_id", ID),
     "interaction_type": ("kind", KIND),
-    "created_at": ("timestamp", INT),
+    "created_at": ("timestamp", INT64),
 }
 
-# one impressions row expands to one Impression per listed item, so this
+# one impressions row expands to one table row per listed item, so this
 # spec only serves the header and the failure path of `load_impressions`
 IMPRESSION_COLUMNS: Columns = {
-    "user_id": ("user_id", INT),
+    "user_id": ("user_id", ID),
     "year": ("year", INT),
     "week": ("week", INT),
     "items": ("items", ID_LIST),
 }
 
-TARGET_USER_COLUMNS: Columns = {"user_id": ("user_id", INT)}
-GROUND_TRUTH_COLUMNS: Columns = {"user_id": ("user_id", INT), "items": ("items", ID_SET)}
+TARGET_USER_COLUMNS: Columns = {"user_id": ("user_id", ID)}
+GROUND_TRUTH_COLUMNS: Columns = {"user_id": ("user_id", ID), "items": ("items", ITEM_SET)}
 
 
 # ---------------------------------------------------------------- provenance
@@ -239,8 +277,52 @@ def load_items(path: str | Path) -> dict[int, Item]:
     return _read_records(path, ITEM_COLUMNS, Item, key="id")
 
 
-def load_interactions(path: str | Path) -> list[Interaction]:
-    return _read_records(path, INTERACTION_COLUMNS, Interaction)
+def _read_columns(path: Path, required: Iterable[str]) -> list[tuple[str, ...]]:
+    """The cells of each `required` column, in that order. A file that
+    `_read_table` rejects fails with its error."""
+    required = list(required)
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split("\t") for line in fh if not line.startswith("#")]
+    if not rows or len(set(map(len, rows))) > 1 or not set(required) <= set(rows[0]):
+        for _ in _read_table(path, required):
+            pass
+    header = rows[0]
+    columns = list(zip(*rows[1:])) or [()] * len(header)
+    return [columns[header.index(c)] for c in required]
+
+
+def _int_column(cells: Iterable[str]) -> np.ndarray:
+    """int64 column of cells parsed by `int`; `ValueError` on a bad cell,
+    `OverflowError` on a value outside int64."""
+    return np.fromiter(map(int, cells), dtype=np.int64)
+
+
+def _raise_first_bad_row(path: Path, columns: Columns,
+                         parse_row: Callable | None = None) -> NoReturn:
+    """Raise the error of the first row `parse_row(cells)` rejects, by
+    default a row with a cell its column's kind rejects: the failure path
+    of a table loaded column by column."""
+    parsers = [cell.parse for _, cell in columns.values()]
+    parse_row = parse_row or (lambda cells: [parse(raw) for parse, raw in zip(parsers, cells)])
+    for lineno, cells in _read_table(path, columns):
+        try:
+            parse_row(cells)
+        except ValueError as exc:
+            raise _row_error(path, lineno, columns, cells, exc) from None
+    raise AssertionError(f"{path}: a column failed to parse, but every row parses")
+
+
+def load_interactions(path: str | Path) -> InteractionTable:
+    path = Path(path)
+    columns = _read_columns(path, INTERACTION_COLUMNS)
+    try:
+        table = InteractionTable(*map(_int_column, columns))
+        if (table.user_id < 0).any() or (table.item_id < 0).any() or not np.isin(
+                table.kind, list(_KINDS)).all():
+            raise ValueError("a user id, item id or interaction_type is out of range")
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(path, INTERACTION_COLUMNS)
+    return table
 
 
 def load_target_users(path: str | Path) -> list[int]:
@@ -258,21 +340,38 @@ def year_week(index: int) -> tuple[int, int]:
     return iso[0], iso[1]
 
 
-def load_impressions(path: str | Path) -> list[Impression]:
+def _iso_week(year: int, week: int) -> int:
+    try:
+        return week_index(year, week)
+    except (ValueError, OverflowError):
+        raise ValueError(f"column 'week': {week} is not an ISO week of {year}") from None
+
+
+def _impression_row(cells: list[str]) -> None:
+    uid, year, week, items = cells
+    _id(uid)
+    _iso_week(int(year), int(week))
+    ID_LIST.parse(items)
+
+
+def load_impressions(path: str | Path) -> ImpressionTable:
+    """One table row per listed item, in file order."""
     path = Path(path)
-    out: list[Impression] = []
-    for lineno, cells in _read_table(path, IMPRESSION_COLUMNS):
-        try:
-            uid, year, week, items = cells
-            uid, year, week = int(uid), int(year), int(week)
-            try:
-                widx = week_index(year, week)
-            except ValueError:
-                raise ValueError(f"column 'week': {week} is not an ISO week of {year}") from None
-            out.extend([Impression(uid, int(i), widx) for i in items.split(",")])
-        except ValueError as exc:
-            raise _row_error(path, lineno, IMPRESSION_COLUMNS, cells, exc) from None
-    return out
+    users, years, weeks, items = _read_columns(path, IMPRESSION_COLUMNS)
+    try:
+        year_weeks = list(zip(map(int, years), map(int, weeks)))
+        week_of = {key: _iso_week(*key) for key in set(year_weeks)}
+        counts = [cell.count(",") + 1 for cell in items]
+        table = ImpressionTable(
+            np.repeat(_int_column(users), counts),
+            _int_column(",".join(items).split(",") if items else ()),
+            np.repeat(_int_column(map(week_of.__getitem__, year_weeks)), counts),
+        )
+        if (table.user_id < 0).any() or (table.item_id < 0).any():
+            raise ValueError("a user or item id is negative")
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(path, IMPRESSION_COLUMNS, _impression_row)
+    return table
 
 
 def load_dataset(directory: str | Path) -> Dataset:
@@ -288,11 +387,12 @@ def load_dataset(directory: str | Path) -> Dataset:
     impressions = load_impressions(directory / IMPRESSIONS_FILE)
     targets = load_target_users(directory / TARGET_USERS_FILE)
 
+    user_ids, item_ids = (np.fromiter(ids, np.int64, len(ids)) for ids in (users, items))
     kept = {
-        "interactions": [e for e in interactions if e.user_id in users and e.item_id in items],
-        "impressions": [e for e in impressions if e.user_id in users and e.item_id in items],
-        "target_users": [u for u in targets if u in users],
+        table: events[np.isin(events.user_id, user_ids) & np.isin(events.item_id, item_ids)]
+        for table, events in (("interactions", interactions), ("impressions", impressions))
     }
+    kept["target_users"] = [u for u in targets if u in users]
     counts = {"users": len(users), "items": len(items), "interactions": len(interactions),
               "impressions": len(impressions), "target_users": len(targets)}
     counts.update({f"{table}_dropped": counts[table] - len(rows) for table, rows in kept.items()})
@@ -325,20 +425,26 @@ def _write_records(path: str | Path, columns: Columns, records: Iterable, proven
     _write_tsv(Path(path), list(columns), zip(*cells), provenance)
 
 
-def save_interactions(interactions: list[Interaction], path: str | Path, provenance=None) -> None:
-    _write_records(path, INTERACTION_COLUMNS, interactions, provenance)
+def save_interactions(table: InteractionTable, path: str | Path, provenance=None) -> None:
+    cells = [map(cell.format, getattr(table, name).tolist())
+             for name, cell in INTERACTION_COLUMNS.values()]
+    _write_tsv(Path(path), list(INTERACTION_COLUMNS), zip(*cells), provenance)
 
 
-def save_impressions(impressions: list[Impression], path: str | Path, provenance=None) -> None:
-    """Group per (user, week) back into challenge rows, items in log order."""
-    grouped: dict[tuple[int, int], list[int]] = {}
-    for im in impressions:
-        grouped.setdefault((im.user_id, im.week), []).append(im.item_id)
+def save_impressions(table: ImpressionTable, path: str | Path, provenance=None) -> None:
+    """Group per (user, week) back into challenge rows, in order of each
+    group's first row, items in row order."""
+    _, first, group = np.unique(np.stack([table.user_id, table.week], axis=1), axis=0,
+                                return_index=True, return_inverse=True)
+    starts = first[group]  # each row's group, named by the group's first row
+    order = np.argsort(starts, kind="stable")
+    bounds = np.flatnonzero(np.diff(starts[order], prepend=-1)).tolist() + [len(table)]
+    users, weeks, items = (c[order].tolist() for c in (table.user_id, table.week, table.item_id))
+    year_weeks = {w: tuple(map(str, year_week(w))) for w in set(weeks)}
 
     def rows():
-        for (uid, widx), item_ids in grouped.items():
-            year, week = year_week(widx)
-            yield [str(uid), str(year), str(week), ID_LIST.format(item_ids)]
+        for a, b in zip(bounds, bounds[1:]):
+            yield [str(users[a]), *year_weeks[weeks[a]], ID_LIST.format(items[a:b])]
 
     _write_tsv(Path(path), list(IMPRESSION_COLUMNS), rows(), provenance)
 

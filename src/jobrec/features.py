@@ -18,7 +18,6 @@ from __future__ import annotations
 import zipfile
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from operator import attrgetter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -27,7 +26,7 @@ import numpy as np
 
 from .candidates import SLOT_NAMES, CandidateList
 from .dataio import DataFormatError
-from .entities import DAY_SECONDS, Dataset, GroundTruth, InteractionKind, POSITIVE_KINDS
+from .entities import DAY_SECONDS, Dataset, GroundTruth, InteractionKind
 from .index import ATTRS, GEO_SENTINEL, SENTINEL, TOKEN_FIELDS
 
 # arrays a feature-matrix archive must hold to load; "labels" is optional
@@ -210,7 +209,6 @@ class FeatureMatrix:
 PAIR_BUDGET = 1 << 16
 
 _SLOT_OF = {slot: k for k, slot in enumerate(SLOT_NAMES)}
-_WEEK = attrgetter("week")
 
 
 def _segments(ptr: np.ndarray, flat: np.ndarray, owner: np.ndarray):
@@ -298,11 +296,13 @@ class FeatureExtractor:
     def _user_state(self, user_id: int) -> dict:
         ix, ev = self.index, self.events
         events = ev.interactions_of(user_id)
-        positive = [e for e in events if e.kind in POSITIVE_KINDS]
+        positive = events[events.positive()]
         imps = ev.impressions_of(user_id)  # sorted by week
-        pos_ts = [e.timestamp for e in positive]
-        last_any = pos_ts[-1] if positive else None
-        last_any_imp = imps[-1].week if imps else None
+        kinds = events.kind.tolist()
+        pos_items, pos_ts = positive.item_id.tolist(), positive.timestamp.tolist()
+        imp_items_seq, imp_weeks = imps.item_id.tolist(), imps.week.tolist()
+        last_any = pos_ts[-1] if pos_ts else None
+        last_any_imp = imp_weeks[-1] if imp_weeks else None
 
         def window_counts(anchor: int | None) -> dict[int, int]:
             if anchor is None:
@@ -310,8 +310,8 @@ class FeatureExtractor:
             lo = bisect_right(pos_ts, anchor - 7 * DAY_SECONDS)
             hi = bisect_right(pos_ts, anchor)
             out: dict[int, int] = {}
-            for e in positive[lo:hi]:
-                out[e.item_id] = out.get(e.item_id, 0) + 1
+            for i in pos_items[lo:hi]:
+                out[i] = out.get(i, 0) + 1
             return out
 
         int_items, imp_items = ev.int_items(user_id), ev.imp_items(user_id)
@@ -321,14 +321,13 @@ class FeatureExtractor:
 
         # the data-anchored window is the last week, (now - 7 days, now]
         uir_data = window_counts(ix.now)
-        kinds = [e.kind for e in events]
-        imp_week = [im.item_id for im in imps[bisect_left(imps, ix.now_week, key=_WEEK):]]
+        imp_week = imp_items_seq[bisect_left(imp_weeks, ix.now_week):]
         columns = {
-            "act_int_events": float(len(positive)),
+            "act_int_events": float(len(pos_ts)),
             "act_int_unique": float(len(int_items)),
             "act_int_events_week": float(sum(uir_data.values())),
             "act_int_unique_week": float(len(uir_data)),
-            "act_imp_events": float(len(imps)),
+            "act_imp_events": float(len(imp_weeks)),
             "act_imp_unique": float(len(imp_items)),
             "act_imp_events_week": float(len(imp_week)),
             "act_imp_unique_week": float(len(set(imp_week))),
@@ -340,9 +339,9 @@ class FeatureExtractor:
         }
         return {
             "columns": columns,
-            "last_ts": {e.item_id: e.timestamp for e in positive},
+            "last_ts": dict(zip(pos_items, pos_ts)),
             "last_any": last_any,
-            "last_imp_week": {im.item_id: im.week for im in imps},
+            "last_imp_week": dict(zip(imp_items_seq, imp_weeks)),
             "last_any_imp": last_any_imp,
             "uir_user": window_counts(last_any),
             "uir_data": uir_data,
@@ -389,9 +388,12 @@ class FeatureExtractor:
         # ---- candidate positions, recency, recent counts, cluster: passes over the rows
         pos_cols = np.array([col(f"pos_{slot}") for slot in SLOT_NAMES])
         out[:, pos_cols] = SENTINEL
-        ranked = [(r, _SLOT_OF[s], k) for r, rk in enumerate(ranks) for s, k in rk.items()]
-        r, s, k = np.array(ranked, dtype=np.int64).reshape(-1, 3).T
-        del ranked
+        lens = np.fromiter(map(len, ranks), dtype=np.int64, count=n)
+        total = int(lens.sum())
+        r = np.repeat(np.arange(n), lens)
+        s = np.fromiter(map(_SLOT_OF.__getitem__, chain.from_iterable(ranks)), dtype=np.int64,
+                        count=total)
+        k = np.fromiter(chain.from_iterable(map(dict.values, ranks)), dtype=np.int64, count=total)
         out[r, pos_cols[s]] = k
         row_states = [states[b] for b in owner_list]
         ts = [st["last_ts"].get(i) for st, i in zip(row_states, cand_ids)]

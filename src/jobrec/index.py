@@ -6,8 +6,9 @@ popularity ranking and the per-user recency ranking are decided here
 only. Arrays and maps are read-only: a stray in-place write raises
 instead of corrupting another consumer.
 The count tables and per-user parts are built on first use: `user_row`,
-`item_users`, `role_tokens` and `token_overlap` by candidates or features,
-whichever reads them first, the rest by features only. Events name only
+`item_users`, `role_tokens`, `token_overlap` and the recency ranking by
+candidates or features, whichever reads them first, the rest by features
+only (the baselines read the recency ranking too). Events name only
 users and items of the variant's own tables: the index rejects a variant
 that breaks this.
 """
@@ -20,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .entities import DAY_SECONDS, WEEK_SECONDS, Dataset, InteractionKind, POSITIVE_KINDS
+from .entities import DAY_SECONDS, WEEK_SECONDS, Dataset, InteractionKind
 
 SENTINEL = -1.0
 GEO_SENTINEL = -999.0
@@ -110,19 +111,21 @@ class ItemClusterIndex:
     """
 
     def __init__(self, event_log) -> None:
+        # one pass over the positive interactions grouped by user, each
+        # user's in time order; the window never reaches back to another user
+        by_user = event_log.interactions_by_user()
+        by_user = by_user[by_user.positive()]
+        users, items, ts = (c.tolist() for c in (by_user.user_id, by_user.item_id,
+                                                  by_user.timestamp))
         neighbors: dict[int, set[int]] = {}
-        for user_id in event_log.by_user_interactions:
-            events = [
-                e for e in event_log.interactions_of(user_id) if e.kind in POSITIVE_KINDS
-            ]
-            lo = 0
-            for hi, ev in enumerate(events):
-                while ev.timestamp - events[lo].timestamp > CLUSTER_WINDOW_SECONDS:
-                    lo += 1
-                for other in events[lo:hi]:
-                    if other.item_id != ev.item_id:
-                        neighbors.setdefault(ev.item_id, set()).add(other.item_id)
-                        neighbors.setdefault(other.item_id, set()).add(ev.item_id)
+        lo = 0
+        for hi, (user, item, t) in enumerate(zip(users, items, ts)):
+            while users[lo] != user or t - ts[lo] > CLUSTER_WINDOW_SECONDS:
+                lo += 1
+            for other in items[lo:hi]:
+                if other != item:
+                    neighbors.setdefault(item, set()).add(other)
+                    neighbors.setdefault(other, set()).add(item)
         self._neighbors = {i: frozenset(s) for i, s in neighbors.items()}
 
     def neighbors(self, item_id: int) -> frozenset[int]:
@@ -131,15 +134,14 @@ class ItemClusterIndex:
 
 def _check_references(dataset: Dataset) -> None:
     """Raise `ValueError` naming the smallest user or item id that an event
-    names and the tables lack; every interaction is positive or a delete."""
-    ev = dataset.events
-    named = {"user": ev.by_user_interactions.keys() | ev.by_user_impressions.keys(),
-             "item": set().union(*map(ev.int_items, ev.by_user_interactions),
-                                 *map(ev.del_items, ev.by_user_interactions),
-                                 *map(ev.imp_items, ev.by_user_impressions))}
-    for table, known in (("user", dataset.users), ("item", dataset.items)):
-        if missing := named[table] - known.keys():
-            raise ValueError(f"an event names {table} {min(missing)}, "
+    names and the tables lack."""
+    ints, imps = dataset.events.interactions, dataset.events.impressions
+    for table, known, named in (
+            ("user", dataset.users, np.concatenate([ints.user_id, imps.user_id])),
+            ("item", dataset.items, np.concatenate([ints.item_id, imps.item_id]))):
+        missing = named[~np.isin(named, np.fromiter(known, np.int64, len(known)))]
+        if len(missing):
+            raise ValueError(f"an event names {table} {missing.min()}, "
                              f"which is not in the {table} table")
 
 
@@ -149,9 +151,10 @@ class DatasetIndex:
     Item arrays have one row per item in ascending id order (`item_ids`,
     `row_of`); `tokens[f]` is the item x token indicator of field f of
     `TOKEN_FIELDS` over `vocab`. `now` and `now_week` are the variant's
-    latest interaction timestamp and impression week. Per-item event
-    structures are derived here from the `EventLog`'s per-user logs. An
-    event naming a user or item missing from the tables raises `ValueError`.
+    latest interaction timestamp and impression week. Per-item and per-user
+    event structures are derived here from the `EventLog`'s int64 columns.
+    An event naming a user or item missing from the tables raises
+    `ValueError`.
     """
 
     def __init__(self, dataset: Dataset) -> None:
@@ -180,11 +183,11 @@ class DatasetIndex:
         self.lat = _frozen([np.nan if it.latitude is None else it.latitude for it in items])
         self.lon = _frozen([np.nan if it.longitude is None else it.longitude for it in items])
 
-        row_of = self.row_of
-        rows = [(row_of[e.item_id], e.kind, e.timestamp) for e in events.interactions]
-        table = _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), 3))
-        self._ev_rows, self._ev_kinds, self._ev_ts = table.T
-        self._ev_positive = _frozen(np.isin(self._ev_kinds, list(POSITIVE_KINDS)))
+        ints = events.interactions
+        self._ev_rows = _frozen(np.searchsorted(self.item_ids, ints.item_id))
+        self._ev_kinds, self._ev_ts = ints.kind, ints.timestamp
+        self._ev_positive = _frozen(ints.positive())
+        self._imp_rows = _frozen(np.searchsorted(self.item_ids, events.impressions.item_id))
         self.positive_counts = _frozen(self.count_interactions(self._ev_positive))
         # active items with a positive event, by (count desc, id asc)
         counts = self.positive_counts[self.active_rows]
@@ -201,33 +204,56 @@ class DatasetIndex:
 
         Ordered by (latest event week desc, event count desc, item id asc);
         uncapped, shared by the recency generators, neighbour expansion and
-        the recency baseline. A new list on every call: nothing is memoized.
+        the recency baseline. A new list on every call, sliced from one
+        ranking of all users per source.
         """
-        latest: dict[int, int] = {}
-        count: dict[int, int] = {}
-        if source == "interactions":
-            for ev in self._events.interactions_of(user_id):
-                if ev.kind not in POSITIVE_KINDS:
-                    continue
-                week = ev.timestamp // WEEK_SECONDS
-                latest[ev.item_id] = max(latest.get(ev.item_id, week), week)
-                count[ev.item_id] = count.get(ev.item_id, 0) + 1
-        elif source == "impressions":
-            for im in self._events.impressions_of(user_id):
-                latest[im.item_id] = max(latest.get(im.item_id, im.week), im.week)
-                count[im.item_id] = count.get(im.item_id, 0) + 1
-        else:
+        if source not in ("interactions", "impressions"):
             raise ValueError(f"unknown event source {source!r}")
-        return sorted(
-            (i for i in latest if i in self.active_set),
-            key=lambda i: (-latest[i], -count[i], i),
-        )
+        r = self.user_row.get(user_id)
+        if r is None:
+            return []
+        ptr, items = self._recent[source]
+        return items[ptr[r] : ptr[r + 1]].tolist()
+
+    @cached_property
+    def _recent(self) -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
+        """Per source, each user's `recent_items` as CSR in `user_row` order:
+        (pointers, item ids)."""
+        ev, out = self._events, {}
+        active = np.zeros(len(self.item_ids), dtype=bool)
+        active[self.active_rows] = True
+        pos = self._ev_positive
+        for source, users, rows, weeks in (
+                ("interactions", ev.interactions.user_id[pos], self._ev_rows[pos],
+                 self._ev_ts[pos] // WEEK_SECONDS),
+                ("impressions", ev.impressions.user_id, self._imp_rows, ev.impressions.week)):
+            keep = active[rows]
+            users = np.searchsorted(self.user_ids, users[keep])
+            rows, weeks = rows[keep], weeks[keep]
+            # one (user, item) pair per run, its latest week at the run's end
+            pair = users * len(self.item_ids) + rows
+            order = np.lexsort((weeks, pair))
+            pair, weeks = pair[order], weeks[order]
+            ends = np.flatnonzero(np.append(pair[1:] != pair[:-1], len(pair) > 0))
+            count = np.diff(ends, prepend=-1)
+            users, rows, latest = users[order][ends], rows[order][ends], weeks[ends]
+            # item row order is item id order
+            ranked = np.lexsort((rows, -count, -latest, users))
+            ptr = np.zeros(len(self.user_ids) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(users, minlength=len(self.user_ids)), out=ptr[1:])
+            out[source] = (_frozen(ptr), _frozen(self.item_ids[rows[ranked]]))
+        return MappingProxyType(out)
 
     # ------------ lazy; the module docstring names the parts candidates share
 
     @cached_property
     def user_row(self) -> Mapping[int, int]:
-        return MappingProxyType({u: r for r, u in enumerate(sorted(self._users))})
+        return MappingProxyType({u: r for r, u in enumerate(self.user_ids.tolist())})
+
+    @cached_property
+    def user_ids(self) -> np.ndarray:
+        """User ids ascending: the `user_row` order."""
+        return _frozen(np.array(sorted(self._users), dtype=np.int64))
 
     @cached_property
     def role_tokens(self) -> tuple[np.ndarray, np.ndarray]:
@@ -254,13 +280,15 @@ class DatasetIndex:
     @cached_property
     def item_users(self) -> Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(item x user indicator, item degrees, user degrees) per source:
-        "int" for positive interactions, "imp" for impressions, built from
-        the per-user item sets in `user_row` order."""
+        "int" for positive interactions, "imp" for impressions, users in
+        `user_row` order."""
         ev, out = self._events, {}
-        for src, items_of in (("int", ev.int_items), ("imp", ev.imp_items)):
-            sets = [items_of(u) for u in self.user_row]
-            m = _frozen(np.ascontiguousarray(indicator_matrix(sets, self.row_of).T))
-            out[src] = (m, *(_frozen(m.sum(axis=a, dtype=np.int64)) for a in (1, 0)))
+        pos = self._ev_positive
+        for src, rows, users in (("int", self._ev_rows[pos], ev.interactions.user_id[pos]),
+                                 ("imp", self._imp_rows, ev.impressions.user_id)):
+            m = np.zeros((len(self.item_ids), len(self.user_ids)), dtype=np.uint8)
+            m[rows, np.searchsorted(self.user_ids, users)] = 1
+            out[src] = (_frozen(m), *(_frozen(m.sum(axis=a, dtype=np.int64)) for a in (1, 0)))
         return MappingProxyType(out)
 
     @cached_property
@@ -344,10 +372,7 @@ class DatasetIndex:
         pop = {"pop_int_total": self.positive_counts}
         for kind in InteractionKind:
             pop[f"pop_{kind.name.lower()}"] = count(kinds == kind)
-        row_of = self.row_of
-        imp_rows = [row_of[im.item_id] for im in self._events.impressions]
-        pop["pop_imp_total"] = np.bincount(np.array(imp_rows, dtype=np.int64),
-                                           minlength=len(self.item_ids))
+        pop["pop_imp_total"] = np.bincount(self._imp_rows, minlength=len(self.item_ids))
         week_lo = self.now - 7 * DAY_SECONDS
         last_week = count(positive & (ts > week_lo))
         prev_week = count(positive & (ts > week_lo - 7 * DAY_SECONDS) & (ts <= week_lo))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .candidates import CandidateList
 from .dataio import DataFormatError, _write_tsv, format_provenance
-from .entities import Dataset, GroundTruth, POSITIVE_KINDS
+from .entities import Dataset, GroundTruth
 from .evaluation import MAX_ITEMS
 from .features import FeatureMatrix
 from .gbdt import GbdtModel
@@ -197,10 +197,9 @@ def baseline_recency(
     out: list[Prediction] = []
     for u in users:
         del_u = ev.del_items(u)
-        last_ts: dict[int, int] = {}
-        for e in ev.interactions_of(u):
-            if e.kind in POSITIVE_KINDS:
-                last_ts[e.item_id] = e.timestamp
+        events = ev.interactions_of(u)
+        positive = events[events.positive()]
+        last_ts = dict(zip(positive.item_id.tolist(), positive.timestamp.tolist()))
         ranked = sorted(
             (i for i in last_ts if i in active and i not in del_u), key=lambda i: (-last_ts[i], i)
         )[:limit]

@@ -5,23 +5,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .entities import (
-    WEEK_SECONDS,
-    Dataset,
-    EventLog,
-    GroundTruth,
-    Impression,
-    Interaction,
-    POSITIVE_KINDS,
-)
+import numpy as np
+
+from .entities import WEEK_SECONDS, Dataset, EventLog, GroundTruth, ImpressionTable, InteractionTable
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class Holdout:
-    interactions: list[Interaction]
-    impressions: list[Impression]
+    interactions: InteractionTable
+    impressions: ImpressionTable
     boundary_timestamp: int
     boundary_week: int
 
@@ -29,9 +23,8 @@ class Holdout:
 def _span_weeks(dataset: Dataset) -> int:
     """Distinct week buckets covered, the larger of both event sides."""
     ev = dataset.events
-    int_weeks = {(ev.max_timestamp - e.timestamp) // WEEK_SECONDS for e in ev.interactions}
-    imp_weeks = {im.week for im in ev.impressions}
-    return max(len(int_weeks), len(imp_weeks))
+    int_weeks = np.unique((ev.max_timestamp - ev.interactions.timestamp) // WEEK_SECONDS)
+    return max(len(int_weeks), len(np.unique(ev.impressions.week)))
 
 
 def temporal_split(dataset: Dataset, holdout_weeks: int = 1) -> tuple[Dataset, Holdout]:
@@ -52,7 +45,8 @@ def temporal_split(dataset: Dataset, holdout_weeks: int = 1) -> tuple[Dataset, H
             events=EventLog(ev.interactions, ev.impressions),
             target_users=dataset.target_users,
         )
-        return train, Holdout([], [], ev.max_timestamp + 1, ev.max_impression_week + 1)
+        return train, Holdout(ev.interactions[:0], ev.impressions[:0],
+                              ev.max_timestamp + 1, ev.max_impression_week + 1)
 
     if _span_weeks(dataset) < 2:
         raise ValueError("dataset spans a single week, nothing left to train on after a holdout")
@@ -60,28 +54,29 @@ def temporal_split(dataset: Dataset, holdout_weeks: int = 1) -> tuple[Dataset, H
     boundary_ts = ev.max_timestamp - holdout_weeks * WEEK_SECONDS
     boundary_week = ev.max_impression_week - holdout_weeks
 
-    train_int = [e for e in ev.interactions if e.timestamp < boundary_ts]
-    hold_int = [e for e in ev.interactions if e.timestamp >= boundary_ts]
-    train_imp = [im for im in ev.impressions if im.week <= boundary_week]
-    hold_imp = [im for im in ev.impressions if im.week > boundary_week]
+    int_train = ev.interactions.timestamp < boundary_ts
+    imp_train = ev.impressions.week <= boundary_week
+    train_int = ev.interactions[int_train]
 
-    if not train_int:
+    if not len(train_int):
         log.warning("temporal_split: no interactions before the holdout boundary, train side is empty")
 
     train = Dataset(
         users=dataset.users,
         items=dataset.items,
-        events=EventLog(train_int, train_imp),
+        events=EventLog(train_int, ev.impressions[imp_train]),
         target_users=dataset.target_users,
     )
-    return train, Holdout(hold_int, hold_imp, boundary_ts, boundary_week)
+    holdout = Holdout(ev.interactions[~int_train], ev.impressions[~imp_train],
+                      boundary_ts, boundary_week)
+    return train, holdout
 
 
 def build_ground_truth(holdout: Holdout, target_users: list[int]) -> GroundTruth:
     """Positively interacted holdout items per target user; empty sets omitted."""
-    targets = set(target_users)
+    held = holdout.interactions
+    held = held[held.positive() & np.isin(held.user_id, list(target_users))]
     truth: GroundTruth = {}
-    for e in holdout.interactions:
-        if e.kind in POSITIVE_KINDS and e.user_id in targets:
-            truth.setdefault(e.user_id, set()).add(e.item_id)
+    for u, i in zip(held.user_id.tolist(), held.item_id.tolist()):
+        truth.setdefault(u, set()).add(i)
     return truth

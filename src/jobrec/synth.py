@@ -19,9 +19,9 @@ import numpy as np
 from .entities import (
     Dataset,
     EventLog,
-    Impression,
-    Interaction,
+    ImpressionTable,
     InteractionKind,
+    InteractionTable,
     Item,
     User,
     WEEK_SECONDS,
@@ -165,8 +165,8 @@ def generate(config: SynthConfig) -> Dataset:
         w = topic_weights[t] * aff
         user_item_p[uid] = (ids, w / w.sum())
 
-    # ---- interactions
-    interactions: list[Interaction] = []
+    # ---- interactions, as (user, item, kind, timestamp) rows
+    interactions: list[tuple[int, int, int, int]] = []
     history: dict[int, list[int]] = {u: [] for u in users}
     rate = np.exp(rng.normal(np.log(config.events_per_week), 0.4, size=config.users))
     for week in range(config.weeks):
@@ -192,17 +192,17 @@ def generate(config: SynthConfig) -> Dataset:
                 else:
                     kind = InteractionKind.REPLY
                 ts = int(week_start + rng.integers(0, WEEK_SECONDS))
-                interactions.append(Interaction(uid, iid, kind, ts))
+                interactions.append((uid, iid, kind, ts))
                 if kind != InteractionKind.DELETE:
                     history[uid].append(iid)
 
     # ---- impressions: noisy supersets of the week's interacted items
     by_user_week: dict[tuple[int, int], list[int]] = {}
-    for ev in interactions:
-        if ev.kind != InteractionKind.DELETE:
-            wk = (ev.timestamp - config.start_timestamp) // WEEK_SECONDS
-            by_user_week.setdefault((ev.user_id, wk), []).append(ev.item_id)
-    impressions: list[Impression] = []
+    for uid, iid, kind, ts in interactions:
+        if kind != InteractionKind.DELETE:
+            wk = (ts - config.start_timestamp) // WEEK_SECONDS
+            by_user_week.setdefault((uid, wk), []).append(iid)
+    impressions: list[tuple[int, int, int]] = []
     for week in range(config.weeks):
         widx = _iso_week_index(config.start_timestamp + week * WEEK_SECONDS)
         for uid in users:
@@ -223,7 +223,7 @@ def generate(config: SynthConfig) -> Dataset:
                     shown.append(iid)
                     seen.add(iid)
             for iid in shown:
-                impressions.append(Impression(uid, iid, widx))
+                impressions.append((uid, iid, widx))
 
     # ---- targets
     n_targets = max(1, round(config.target_fraction * config.users))
@@ -234,6 +234,7 @@ def generate(config: SynthConfig) -> Dataset:
     return Dataset(
         users=users,
         items=items,
-        events=EventLog(interactions, impressions),
+        events=EventLog(InteractionTable(*np.array(interactions, dtype=np.int64).reshape(-1, 4).T),
+                        ImpressionTable(*np.array(impressions, dtype=np.int64).reshape(-1, 3).T)),
         target_users=target_users,
     )

@@ -44,6 +44,85 @@ def total_score_oracle(predictions, ground_truth, mode):
     )
 
 
+# ---------------------------------------------------------------- event log
+
+
+class ObjectEventLog:
+    """`jobrec.entities.EventLog` as it was before its int64 columns: one
+    record per event, grouped per user in Python, each user's list sorted
+    by time (stable, so ties keep input order)."""
+
+    def __init__(self, interactions, impressions) -> None:
+        self.interactions = list(interactions)
+        self.impressions = list(impressions)
+
+        self.by_user_interactions = {}
+        for ev in self.interactions:
+            self.by_user_interactions.setdefault(ev.user_id, []).append(ev)
+        for lst in self.by_user_interactions.values():
+            lst.sort(key=lambda e: e.timestamp)
+
+        self.by_user_impressions = {}
+        for im in self.impressions:
+            self.by_user_impressions.setdefault(im.user_id, []).append(im)
+        for lst in self.by_user_impressions.values():
+            lst.sort(key=lambda e: e.week)
+
+        self.max_timestamp = max((e.timestamp for e in self.interactions), default=0)
+        self.max_impression_week = max((im.week for im in self.impressions), default=0)
+
+        self._int_items, self._del_items = {}, {}
+        for u, evs in self.by_user_interactions.items():
+            pos = frozenset(e.item_id for e in evs if e.kind in POSITIVE_KINDS)
+            neg = frozenset(e.item_id for e in evs if e.kind == InteractionKind.DELETE)
+            if pos:
+                self._int_items[u] = pos
+            if neg:
+                self._del_items[u] = neg
+        self._imp_items = {u: frozenset(im.item_id for im in lst)
+                           for u, lst in self.by_user_impressions.items()}
+
+    def interactions_of(self, user_id):
+        return self.by_user_interactions.get(user_id, [])
+
+    def impressions_of(self, user_id):
+        return self.by_user_impressions.get(user_id, [])
+
+    def int_items(self, user_id):
+        return self._int_items.get(user_id, frozenset())
+
+    def del_items(self, user_id):
+        return self._del_items.get(user_id, frozenset())
+
+    def imp_items(self, user_id):
+        return self._imp_items.get(user_id, frozenset())
+
+
+def split_oracle(log, holdout_weeks):
+    """`temporal_split` over an `ObjectEventLog`: (train log, holdout
+    interactions, holdout impressions), or None when the log spans fewer
+    than two week buckets."""
+    if holdout_weeks == 0:
+        return ObjectEventLog(log.interactions, log.impressions), [], []
+    int_weeks = {(log.max_timestamp - e.timestamp) // WEEK_SECONDS for e in log.interactions}
+    if max(len(int_weeks), len({im.week for im in log.impressions})) < 2:
+        return None
+    boundary_ts = log.max_timestamp - holdout_weeks * WEEK_SECONDS
+    boundary_week = log.max_impression_week - holdout_weeks
+    train = ObjectEventLog([e for e in log.interactions if e.timestamp < boundary_ts],
+                           [im for im in log.impressions if im.week <= boundary_week])
+    return (train, [e for e in log.interactions if e.timestamp >= boundary_ts],
+            [im for im in log.impressions if im.week > boundary_week])
+
+
+def ground_truth_oracle(held_interactions, target_users):
+    truth = {}
+    for e in held_interactions:
+        if e.kind in POSITIVE_KINDS and e.user_id in set(target_users):
+            truth.setdefault(e.user_id, set()).add(e.item_id)
+    return truth
+
+
 # ---------------------------------------------------------------- similarity
 
 
@@ -358,7 +437,7 @@ class _BlockOracle:
 
     def __init__(self, extractor):
         self.dataset = extractor.dataset
-        self.events = extractor.events
+        self.events = ObjectEventLog(extractor.events.interactions, extractor.events.impressions)
         self.candidates = extractor.candidates
         self.schema = extractor.schema
         self.cluster = extractor.index.cluster

@@ -29,3 +29,32 @@ def test_every_wrapped_name_resolves():
         assert module.startswith("jobrec."), span
         target = reduce(getattr, path.split("."), importlib.import_module(module))
         assert callable(target), (span, module, path)
+
+
+def test_dataset_attributes_the_tracer_reads(tmp_path):
+    """`bench/spans.py` observers read `len(ds.interactions)`,
+    `len(ds.impressions)`, `ev.max_timestamp` and `len(ev.interactions)`, and
+    the worker `ev.del_items(u)`; each agrees with the files as parsed here."""
+    from jobrec import dataio, synth
+
+    dataio.save_dataset(synth.generate(synth.SynthConfig(users=30, items=50, weeks=3, seed=4)),
+                        tmp_path, provenance={"stage": "synth"})
+
+    def rows(name):
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        return [line.split("\t") for line in lines if not line.startswith("#")][1:]
+
+    interactions = [[int(c) for c in row] for row in rows("interactions.tsv")]
+    shown = sum(len(row[3].split(",")) for row in rows("impressions.tsv"))
+    ds = dataio.load_dataset(tmp_path)
+    ev = ds.events
+    assert len(ds.interactions) == len(ev.interactions) == len(interactions) > 0
+    assert len(ds.impressions) == len(ev.impressions) == shown > 0
+    assert ev.max_timestamp == max(row[3] for row in interactions)
+    deleted = {}
+    for user, item, kind, _ in interactions:
+        if kind == 4:
+            deleted.setdefault(user, set()).add(item)
+    assert deleted
+    for u in ds.users:
+        assert ev.del_items(u) == deleted.get(u, set()), u

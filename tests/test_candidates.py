@@ -525,3 +525,21 @@ class TestRoundTrip:
         self.write_rows(path, "\t".join(cells.values()))
         with pytest.raises(DataFormatError, match=rf"cands.tsv:2: column '{column}'"):
             load_candidates(path)
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_rank_below_one_names_line_and_column(self, tmp_path, rank):
+        """-1 would read as the features' SENTINEL, "not ranked"."""
+        cells = dict.fromkeys(["user_id", "item_id", *SLOT_NAMES], "")
+        cells.update(user_id="1", item_id="101", recent_interactions="2", recent_impressions=rank)
+        path = tmp_path / "cands.tsv"
+        self.write_rows(path, f"1\t100\t1{chr(9) * (len(SLOT_NAMES) - 1)}", "\t".join(cells.values()))
+        with pytest.raises(DataFormatError,
+                           match=rf"cands.tsv:3: column 'recent_impressions': rank must be >= 1, "
+                                 rf"got {rank}"):
+            load_candidates(path)
+
+    def test_row_with_no_rank_rejected(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        self.write_rows(path, "1\t101" + "\t" * len(SLOT_NAMES))
+        with pytest.raises(DataFormatError, match=r"cands.tsv:2: item 101 has no rank in any slot"):
+            load_candidates(path)

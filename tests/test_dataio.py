@@ -1,5 +1,6 @@
 """TSV round trips, malformed input diagnostics, and the week bijection."""
 
+import hashlib
 import tempfile
 from datetime import date
 from pathlib import Path
@@ -22,6 +23,7 @@ from jobrec.dataio import (
     week_index,
     year_week,
 )
+from jobrec import synth
 from jobrec.entities import Impression, Interaction, InteractionKind, Item, User
 
 from conftest import ev, imp, make_dataset, make_item, make_user
@@ -310,6 +312,61 @@ class TestMalformedCellSweep:
         loader, good = GOOD_ROWS[name]
         write_rows(tmp_path / name, [good])
         assert len(loader(tmp_path / name)) > 0
+
+
+# a negative user or item id, per table and id column
+NEGATIVE_IDS = [("users.tsv", "id", "-3"), ("items.tsv", "id", "-101"),
+                ("interactions.tsv", "user_id", "-1"), ("interactions.tsv", "item_id", "-101"),
+                ("impressions.tsv", "user_id", "-7"), ("impressions.tsv", "items", "11,-12"),
+                ("target_users.tsv", "user_id", "-1"), ("ground_truth.tsv", "user_id", "-1"),
+                ("ground_truth.tsv", "items", "5,-6")]
+
+
+class TestIdRange:
+    @pytest.mark.parametrize("name,column,value", NEGATIVE_IDS,
+                             ids=[f"{n}-{c}" for n, c, _ in NEGATIVE_IDS])
+    def test_negative_id_names_file_line_and_column(self, tmp_path, name, column, value):
+        loader, good = GOOD_ROWS[name]
+        write_rows(tmp_path / name, [good, {**good, column: value}])
+        with pytest.raises(DataFormatError,
+                           match=rf"{name}:4: column '{column}': negative id -\d+"):
+            loader(tmp_path / name)
+
+    @pytest.mark.parametrize("name,column", [("interactions.tsv", "item_id"),
+                                             ("interactions.tsv", "created_at"),
+                                             ("impressions.tsv", "items")])
+    def test_value_beyond_int64_names_file_line_and_column(self, tmp_path, name, column):
+        loader, good = GOOD_ROWS[name]
+        write_rows(tmp_path / name, [good, {**good, column: str(2**63)}])
+        with pytest.raises(DataFormatError, match=rf"{name}:4: column '{column}': .*int64"):
+            loader(tmp_path / name)
+
+    def test_negative_timestamp_still_loads(self, tmp_path):
+        _, good = GOOD_ROWS["interactions.tsv"]
+        write_rows(tmp_path / "interactions.tsv", [{**good, "created_at": "-604800"}])
+        assert load_interactions(tmp_path / "interactions.tsv").timestamp.tolist() == [-604800]
+
+
+class TestSavedBytes:
+    """The bytes `save_dataset` writes for one small synthetic config. The
+    benchmark's inputs and `bench/expected.json` depend on them."""
+
+    SHA256 = {
+        "impressions.tsv": "dee8b6081084ccd4196111df3d81795c38139106359f4b97c7fd3fc9b50c4349",
+        "interactions.tsv": "d4cbbc06ad6648cc7618660a936cf32b96357220ea05bf3823c8334b286a43d3",
+        "items.tsv": "9c59d496a9025c2c5949183b0243c75e617195345263239a757caf4f2611fcc1",
+        "target_users.tsv": "ac21122c59d6d0dbf4faabd74dfabdbb233c31f7a0b94834061285b0cf164c49",
+        "users.tsv": "4651a74d1271bd1f5c9e3e9f6d9153f4455f9368e27ed1a9c79e7c5410e6b066",
+    }
+
+    def test_synth_dataset_bytes_pinned(self, tmp_path):
+        ds = synth.generate(synth.SynthConfig(users=25, items=40, weeks=3, seed=7))
+        save_dataset(ds, tmp_path, provenance={"stage": "synth", "seed": 7})
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == self.SHA256
+        save_dataset(load_dataset(tmp_path), tmp_path / "again", {"stage": "synth", "seed": 7})
+        for name, digest in self.SHA256.items():
+            assert hashlib.sha256((tmp_path / "again" / name).read_bytes()).hexdigest() == digest
 
 
 class TestDuplicateKeys:
