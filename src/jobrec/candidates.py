@@ -4,18 +4,22 @@ Each generator emits at most `cap` active items as a ranked list. The two
 content-knn generators each produce four sub-rankings (candidate field
 crossed with source field), so a merged list carries up to 15 rank slots
 per item. Inactive items are filtered before capping, which keeps every
-slot's ranks dense in 1..cap.
+slot's ranks dense in 1..cap. The merged lists of many users form one
+`CandidateTable`: item ids and a (pairs x 15) rank matrix, user by user.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import cached_property
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import INT, Cell, DataFormatError, _read_table, _row_error, _write_tsv
+from .dataio import (ID, Cell, _column_runs, _id, _int64, _int_column, _raise_first_bad_row,
+                     _write_tsv)
 from .entities import Dataset
 from .index import TOKEN_FIELDS
 from .similarity import SparseSetIndex
@@ -73,35 +77,106 @@ SLOT_NAMES: list[str] = [col for _, col in SLOT_COLUMNS]
 def _rank(raw: str) -> int | None:
     if not raw:
         return None
-    rank = int(raw)
+    rank = _int64(raw)
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     return rank
 
 
+# a blank cell and the plain spellings of ranks 1-255, read by lookup; the
+# loader parses every other cell with `int`
+_RANK_TEXT = {"": 0, **{str(rank): rank for rank in range(1, 256)}}
+
 # candidate file columns; a blank rank means the slot did not rank the item
-_CANDIDATE_COLUMNS = {"user_id": ("user_id", INT), "item_id": ("item_id", INT),
+_CANDIDATE_COLUMNS = {"user_id": ("user_id", ID), "item_id": ("item_id", ID),
                       **{col: (col, Cell(_rank, str)) for col in SLOT_NAMES}}
 
 
 class CandidateList:
-    """Merged candidates of one user: item -> slot -> 1-based rank."""
+    """One user's rows of a `CandidateTable`: item ids in merge order and
+    their (items x 15) slot ranks, 0 where the slot did not rank the item."""
 
-    def __init__(self, user_id: int) -> None:
+    def __init__(self, user_id: int, item_ids: np.ndarray, slot_ranks: np.ndarray) -> None:
         self.user_id = user_id
-        self.ranks: dict[int, dict[str, int]] = {}
-
-    def add(self, item_id: int, slot: str, rank: int) -> None:
-        self.ranks.setdefault(item_id, {})[slot] = rank
+        self.item_ids = item_ids
+        self.slot_ranks = slot_ranks
 
     def items(self) -> list[int]:
-        return list(self.ranks)
+        return self.item_ids.tolist()
 
     def __len__(self) -> int:
-        return len(self.ranks)
+        return len(self.item_ids)
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self.ranks
+        return bool((self.item_ids == item_id).any())
+
+    @property
+    def ranks(self) -> dict[int, dict[str, int]]:
+        """item -> slot -> rank as nested dicts, the form the test oracles
+        build; no pipeline stage reads it."""
+        return {item: {SLOT_NAMES[s]: r for s, r in enumerate(row) if r}
+                for item, row in zip(self.item_ids.tolist(), self.slot_ranks.tolist())}
+
+
+class CandidateTable(Mapping[int, CandidateList]):
+    """Merged candidates of many users as one rank table.
+
+    User `user_ids[k]` owns rows `ptr[k]:ptr[k + 1]`, in merge order.
+    `item_ids` is int64 and `ranks` is (rows x 15) in the smallest unsigned
+    dtype that holds the largest rank, 0 where a slot did not rank the item.
+    Indexing by user id gives a `CandidateList` view of that user's rows.
+    """
+
+    def __init__(self, user_ids, ptr, item_ids, ranks) -> None:
+        self.user_ids = np.asarray(user_ids, dtype=np.int64)
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.item_ids = np.asarray(item_ids, dtype=np.int64)
+        ranks = np.asarray(ranks).reshape(len(self.item_ids), len(SLOT_NAMES))
+        self.ranks = ranks.astype(np.min_scalar_type(ranks.max(initial=0)), copy=False)
+        self._user_index = dict(zip(self.user_ids.tolist(), range(len(self.user_ids))))
+        if len(self._user_index) != len(self.user_ids):
+            raise ValueError("a user owns more than one run of rows")
+
+    def __getitem__(self, user_id: int) -> CandidateList:
+        k = self._user_index[user_id]
+        rows = slice(self.ptr[k], self.ptr[k + 1])
+        return CandidateList(user_id, self.item_ids[rows], self.ranks[rows])
+
+    def __iter__(self):
+        return iter(self._user_index)
+
+    def __len__(self) -> int:
+        return len(self._user_index)
+
+    @cached_property
+    def _pair_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(distinct item ids, sorted row keys, the row of each sorted key),
+        a row's key being its user's position times the number of distinct
+        items plus its item's position among them."""
+        vocab, code = np.unique(self.item_ids, return_inverse=True)
+        keys = np.repeat(np.arange(len(self.user_ids)), np.diff(self.ptr)) * len(vocab) + code
+        order = np.argsort(keys)
+        return vocab, keys[order], order
+
+    def rows_of(self, users: Sequence[int], items: Sequence[int]) -> np.ndarray:
+        """The table row of each (users[k], items[k]) pair; `ValueError` at
+        the first pair whose user has no list or whose item is not in it."""
+        owner = np.fromiter(map(self._user_index.get, users, repeat(-1)), np.int64, len(users))
+        items = np.asarray(items, dtype=np.int64)
+        vocab, keys, order = self._pair_keys
+        found = (owner >= 0) & (len(vocab) > 0)
+        at = np.zeros(len(items), dtype=np.int64)
+        if len(vocab):  # an empty table holds no pair
+            code = np.searchsorted(vocab, items).clip(max=len(vocab) - 1)
+            key = owner * len(vocab) + code
+            at = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+            found &= (vocab[code] == items) & (keys[at] == key)
+        if not found.all():
+            k = int(np.argmin(found))
+            if owner[k] < 0:
+                raise ValueError(f"user {users[k]} has no candidate list")
+            raise ValueError(f"pair ({users[k]}, {items[k]}) is not in the candidate list")
+        return order[at]
 
 
 class CandidateGenerator:
@@ -140,9 +215,12 @@ class CandidateGenerator:
         both = index.tokens[:, :, index.tokens.any(axis=1).all(axis=0)]
         bound, dtype = both.sum(axis=2).max(initial=0), np.result_type(*same)
         assert bound < 2**24 and bound <= np.iinfo(dtype).max, (bound, dtype)
-        cross = both.astype(np.float32) @ both[::-1, act].astype(np.float32).transpose(0, 2, 1)
-        self._overlap = np.concatenate([same[0][:, act], *cross.astype(dtype), same[1][:, act]],
-                                       axis=1)
+        if both.shape[2]:
+            cross = (both.astype(np.float32)
+                     @ both[::-1, act].astype(np.float32).transpose(0, 2, 1)).astype(dtype)
+        else:  # no token is in both fields: every cross-field overlap is 0
+            cross = np.zeros((2, both.shape[1], len(act)), dtype=dtype)
+        self._overlap = np.concatenate([same[0][:, act], *cross, same[1][:, act]], axis=1)
         self._popular = index.popular[:cap].tolist()
         self._recent_cache: dict[tuple[int, str], list[int]] = {}
 
@@ -225,74 +303,110 @@ class CandidateGenerator:
     # --------------------------------------------------------------- merging
 
     def generate(self, user_id: int) -> CandidateList:
+        """The user's 15 rankings merged: items in order of first appearance
+        over the slots in `SLOT_NAMES` order, each with its rank per slot."""
         if user_id not in self.dataset.users:
             raise ValueError(f"user {user_id} is not in the user table")
-        merged = CandidateList(user_id)
-        ranks = merged.ranks
-        for slot, ranking in [
-            ("recent_interactions", self.gen_recent_interactions(user_id)),
-            ("recent_impressions", self.gen_recent_impressions(user_id)),
-            ("similar_user_interactions", self.gen_similar_user_items(user_id, "interactions")),
-            ("similar_user_impressions", self.gen_similar_user_items(user_id, "impressions")),
-            *self.gen_content_knn(user_id, "interactions").items(),
-            *self.gen_content_knn(user_id, "impressions").items(),
-            ("jobroles_tags", self.gen_jobroles_match(user_id, "tags")),
-            ("jobroles_title", self.gen_jobroles_match(user_id, "title")),
-            ("global_popular", self.gen_popular()),
-        ]:
-            for rank, item in enumerate(ranking, start=1):
-                ranks.setdefault(item, {})[slot] = rank
-        return merged
+        rankings = [
+            self.gen_recent_interactions(user_id),
+            self.gen_recent_impressions(user_id),
+            self.gen_similar_user_items(user_id, "interactions"),
+            self.gen_similar_user_items(user_id, "impressions"),
+            *self.gen_content_knn(user_id, "interactions").values(),
+            *self.gen_content_knn(user_id, "impressions").values(),
+            self.gen_jobroles_match(user_id, "tags"),
+            self.gen_jobroles_match(user_id, "title"),
+            self.gen_popular(),
+        ]
+        lens = np.fromiter(map(len, rankings), np.int64, len(rankings))
+        flat = np.fromiter(chain.from_iterable(rankings), np.int64, lens.sum())
+        items, first, row = np.unique(flat, return_index=True, return_inverse=True)
+        merged = np.argsort(first)  # the distinct items in order of first appearance
+        ranks = np.zeros((len(items), len(SLOT_NAMES)), dtype=np.min_scalar_type(self.cap))
+        ranks[np.argsort(merged)[row], np.repeat(np.arange(len(lens)), lens)] = (
+            np.arange(1, len(flat) + 1) - np.repeat(np.cumsum(lens) - lens, lens))
+        return CandidateList(user_id, items[merged], ranks)
 
-    def generate_all(self, user_ids: Iterable[int]) -> dict[int, CandidateList]:
-        return {u: self.generate(u) for u in user_ids}
+    def generate_all(self, user_ids: Iterable[int]) -> CandidateTable:
+        """`generate` once per distinct user, stacked into one table in order
+        of first appearance."""
+        lists = [self.generate(u) for u in dict.fromkeys(user_ids)]
+        return CandidateTable(
+            [cl.user_id for cl in lists], np.cumsum([0, *map(len, lists)]),
+            np.concatenate([np.empty(0, np.int64), *(cl.item_ids for cl in lists)]),
+            np.concatenate([np.empty((0, len(SLOT_NAMES)), np.uint8),
+                            *(cl.slot_ranks for cl in lists)]))
 
 
-def coverage(candidates: Mapping[int, CandidateList], ground_truth: Mapping[int, set[int]]) -> float:
+def coverage(candidates: CandidateTable, ground_truth: Mapping[int, set[int]]) -> float:
     """Fraction of held-out positives present in the merged candidate lists."""
     total = sum(len(items) for items in ground_truth.values())
     if total == 0:
         raise ValueError("ground truth is empty, coverage is undefined")
-    hits = 0
-    for u, items in ground_truth.items():
-        cl = candidates.get(u)
-        if cl is None:
-            continue
-        hits += sum(1 for i in items if i in cl)
-    return hits / total
+    return sum(len(items & set(candidates[u].items()))
+               for u, items in ground_truth.items() if u in candidates) / total
 
 
 # ------------------------------------------------------------------- file io
 
+# rows `save_candidates` formats at a time
+_SAVE_ROWS = 1 << 12
 
-def save_candidates(
-    candidates: Mapping[int, CandidateList], path: str | Path, provenance=None
-) -> None:
+
+def save_candidates(candidates: CandidateTable, path: str | Path, provenance=None) -> None:
+    """One row per table row, formatted column by column in runs of rows."""
+    values = np.unique(candidates.ranks)
+    text = np.array([str(v) if v else "" for v in values.tolist()], dtype=object)
+    users = np.repeat(candidates.user_ids, np.diff(candidates.ptr))
+
     def rows():
-        for u, cl in candidates.items():
-            for item, ranks in cl.ranks.items():
-                yield [str(u), str(item)] + [
-                    str(ranks[col]) if col in ranks else "" for col in SLOT_NAMES
-                ]
+        for lo in range(0, len(users), _SAVE_ROWS):
+            run = slice(lo, lo + _SAVE_ROWS)
+            yield from zip(map(str, users[run].tolist()),
+                           map(str, candidates.item_ids[run].tolist()),
+                           *text[np.searchsorted(values, candidates.ranks[run].T)].tolist())
 
     _write_tsv(Path(path), list(_CANDIDATE_COLUMNS), rows(), provenance)
 
 
-def load_candidates(path: str | Path) -> dict[int, CandidateList]:
+def load_candidates(path: str | Path) -> CandidateTable:
+    """The table of a candidates file, each user's rows in file order and
+    users in order of first appearance. Each column is parsed in one pass
+    per run of rows; only when a cell fails, or a row ranks nothing or
+    repeats a pair, are the rows scanned for the `file:line` of the first
+    bad one."""
     path = Path(path)
-    out: dict[int, CandidateList] = {}
-    for lineno, cells in _read_table(path, _CANDIDATE_COLUMNS):
-        try:
-            uid, item = int(cells[0]), int(cells[1])
-            ranks = {slot: _rank(raw) for slot, raw in zip(SLOT_NAMES, cells[2:]) if raw}
-            if not ranks:
-                raise ValueError(f"item {item} has no rank in any slot")
-        except ValueError as exc:
-            raise _row_error(path, lineno, _CANDIDATE_COLUMNS, cells, exc) from None
-        cl = out.get(uid)
-        if cl is None:
-            cl = out[uid] = CandidateList(uid)
-        elif item in cl.ranks:
-            raise DataFormatError(f"{path}:{lineno}: duplicate candidate: user {uid}, item {item}")
-        cl.ranks[item] = ranks
-    return out
+    runs = [(np.empty(0, np.int64),) * 2 + (np.empty((0, len(SLOT_NAMES)), np.uint8),)]
+    try:
+        for users, items, *slots in _column_runs(path, _CANDIDATE_COLUMNS):
+            cells = list(chain.from_iterable(slots))  # slot by slot
+            ranks = np.fromiter(map(_RANK_TEXT.get, cells, repeat(-1)), np.int64, len(cells))
+            other = ranks < 0
+            ranks[other] = _int_column(compress(cells, other))
+            if (ranks[other] < 1).any():
+                raise ValueError("a rank is below 1")
+            ranks = ranks.astype(np.min_scalar_type(ranks.max(initial=0)))
+            runs.append((_int_column(users), _int_column(items), ranks.reshape(len(slots), -1).T))
+        user_ids, item_ids, ranks = map(np.concatenate, zip(*runs))
+        _, first, inverse = np.unique(user_ids, return_index=True, return_inverse=True)
+        group = first[inverse]  # each row's user, named by the user's first row
+        pairs = np.lexsort((item_ids, group))
+        if ((user_ids < 0).any() or (item_ids < 0).any() or not ranks.any(axis=1).all()
+                or ((np.diff(group[pairs]) == 0) & (np.diff(item_ids[pairs]) == 0)).any()):
+            raise ValueError("a negative id, an unranked row or a repeated pair")
+    except (ValueError, OverflowError):
+        seen: set[tuple[int, int]] = set()
+
+        def check(cells: list[str]) -> None:
+            pair = (_id(cells[0]), _id(cells[1]))
+            if not [rank for rank in map(_rank, cells[2:]) if rank]:
+                raise ValueError(f"item {pair[1]} has no rank in any slot")
+            if pair in seen:
+                raise ValueError(f"duplicate candidate: user {pair[0]}, item {pair[1]}")
+            seen.add(pair)
+
+        _raise_first_bad_row(path, _CANDIDATE_COLUMNS, check)
+    order = np.argsort(group, kind="stable")
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+    return CandidateTable(user_ids[order[starts]], [*starts.tolist(), len(order)],
+                          item_ids[order], ranks[order])

@@ -118,8 +118,7 @@ def candidates_cmd(data_dir, out_path, which_users, cap, neighbors,
     gen = cand_mod.CandidateGenerator(dataset, cfg.candidate_cap, cfg.neighbor_count)
     lists = gen.generate_all(users)
     cand_mod.save_candidates(lists, out_path, cfg.provenance("candidates"))
-    total = sum(len(cl) for cl in lists.values())
-    log.info("wrote %d candidates for %d users to %s", total, len(lists), out_path)
+    log.info("wrote %d candidates for %d users to %s", len(lists.item_ids), len(lists), out_path)
 
 
 @main.command("features")

@@ -34,6 +34,7 @@ import inspect
 import logging
 import math
 from datetime import date
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn
@@ -277,18 +278,49 @@ def load_items(path: str | Path) -> dict[int, Item]:
     return _read_records(path, ITEM_COLUMNS, Item, key="id")
 
 
-def _read_columns(path: Path, required: Iterable[str]) -> list[tuple[str, ...]]:
+# characters of text read per run of rows by `_column_runs`
+RUN_CHARS = 1 << 16
+
+
+def _column_runs(path: Path, required: Iterable[str]) -> Iterator[list[list[str]]]:
+    """The cells of each `required` column, in that order, for successive
+    runs of data rows, each run cut from one split of about `RUN_CHARS`
+    characters; the header may order columns freely and add others. At the
+    run that holds a row `_read_table` rejects, fails with its error."""
+    required = list(required)
+    header = None
+    with open(path, "r", encoding="utf-8") as fh:
+        while lines := fh.readlines(RUN_CHARS):
+            lines = [line for line in lines if line[0] != "#"]  # no line is empty
+            if header is None:
+                if not lines:
+                    continue
+                header = lines.pop(0).rstrip("\n").split("\t")
+                if not set(required) <= set(header):
+                    break
+                width, pos = len(header), [header.index(c) for c in required]
+            if set(map(str.count, lines, repeat("\t"))) - {width - 1}:
+                break
+            if lines:
+                cells = "".join(lines).replace("\n", "\t").split("\t")
+                yield [cells[p : len(lines) * width : width] for p in pos]
+        else:
+            if header is not None:
+                return
+    # no header, a header without a required column, or a row of the wrong width
+    for _ in _read_table(path, required):
+        pass
+    raise AssertionError(f"{path}: a run of rows was rejected, but every row reads")
+
+
+def _read_columns(path: Path, required: Iterable[str]) -> list[list[str]]:
     """The cells of each `required` column, in that order. A file that
     `_read_table` rejects fails with its error."""
-    required = list(required)
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split("\t") for line in fh if not line.startswith("#")]
-    if not rows or len(set(map(len, rows))) > 1 or not set(required) <= set(rows[0]):
-        for _ in _read_table(path, required):
-            pass
-    header = rows[0]
-    columns = list(zip(*rows[1:])) or [()] * len(header)
-    return [columns[header.index(c)] for c in required]
+    columns: list[list[str]] = [[] for _ in required]
+    for run in _column_runs(path, required):
+        for column, cells in zip(columns, run):
+            column += cells
+    return columns
 
 
 def _int_column(cells: Iterable[str]) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .candidates import SLOT_NAMES, CandidateList
+from .candidates import SLOT_NAMES, CandidateTable
 from .dataio import DataFormatError
 from .entities import DAY_SECONDS, Dataset, GroundTruth, InteractionKind
 from .index import ATTRS, GEO_SENTINEL, SENTINEL, TOKEN_FIELDS
@@ -208,8 +208,6 @@ class FeatureMatrix:
 # The pair arrays of one call peak at about 12 bytes a pair, under 1 MB.
 PAIR_BUDGET = 1 << 16
 
-_SLOT_OF = {slot: k for k, slot in enumerate(SLOT_NAMES)}
-
 
 def _segments(ptr: np.ndarray, flat: np.ndarray, owner: np.ndarray):
     """Row r's segment of a pair list holds flat[ptr[owner[r]]:ptr[owner[r] + 1]].
@@ -282,7 +280,7 @@ class FeatureExtractor:
     a candidate item missing from the item table, both with `ValueError`.
     """
 
-    def __init__(self, dataset: Dataset, candidates: Mapping[int, CandidateList]) -> None:
+    def __init__(self, dataset: Dataset, candidates: CandidateTable) -> None:
         self.dataset = dataset
         self.events = dataset.events
         self.index = dataset.index
@@ -361,18 +359,12 @@ class FeatureExtractor:
         if not n:
             return out
 
-        slot_of: dict[int, int] = {}
-        owner_list, ranks = [], []
-        for u, i in pairs:
-            cl = self.candidates.get(u)
-            if cl is None:
-                raise ValueError(f"user {u} has no candidate list")
-            if i not in cl:
-                raise ValueError(f"pair ({u}, {i}) is not in the candidate list")
-            owner_list.append(slot_of.setdefault(u, len(slot_of)))
-            ranks.append(cl.ranks[i])
-        user_rows = np.array(_lookup(ix.user_row, slot_of, "user"), dtype=np.int64)
+        pair_users = [u for u, _ in pairs]
         cand_ids = [int(i) for _, i in pairs]
+        ranks = self.candidates.ranks[self.candidates.rows_of(pair_users, cand_ids)]
+        slot_of: dict[int, int] = {}
+        owner_list = [slot_of.setdefault(u, len(slot_of)) for u in pair_users]
+        user_rows = np.array(_lookup(ix.user_row, slot_of, "user"), dtype=np.int64)
         rows = np.array(_lookup(ix.row_of, cand_ids, "item"), dtype=np.int32)
         states = [self._user_state(u) for u in slot_of]
         owner = np.array(owner_list, dtype=np.int64)  # each row's user, as an index of `states`
@@ -385,16 +377,9 @@ class FeatureExtractor:
         out[:, [col(c) for c in names]] = np.array(
             [[st["columns"][c] for c in names] for st in states])[owner]
 
-        # ---- candidate positions, recency, recent counts, cluster: passes over the rows
-        pos_cols = np.array([col(f"pos_{slot}") for slot in SLOT_NAMES])
-        out[:, pos_cols] = SENTINEL
-        lens = np.fromiter(map(len, ranks), dtype=np.int64, count=n)
-        total = int(lens.sum())
-        r = np.repeat(np.arange(n), lens)
-        s = np.fromiter(map(_SLOT_OF.__getitem__, chain.from_iterable(ranks)), dtype=np.int64,
-                        count=total)
-        k = np.fromiter(chain.from_iterable(map(dict.values, ranks)), dtype=np.int64, count=total)
-        out[r, pos_cols[s]] = k
+        # ---- candidate positions: one gather; recency, recent counts, cluster:
+        # passes over the rows
+        out[:, [col(f"pos_{slot}") for slot in SLOT_NAMES]] = np.where(ranks > 0, ranks, SENTINEL)
         row_states = [states[b] for b in owner_list]
         ts = [st["last_ts"].get(i) for st, i in zip(row_states, cand_ids)]
         wk = [st["last_imp_week"].get(i) for st, i in zip(row_states, cand_ids)]
@@ -543,7 +528,7 @@ def _chunks(extractor: FeatureExtractor, per_user: list[tuple[int, list[int]]]):
 
 def build_matrix(
     dataset: Dataset,
-    candidates: Mapping[int, CandidateList],
+    candidates: CandidateTable,
     rows: Sequence[tuple[int, int]] | None = None,
     ground_truth: GroundTruth | None = None,
 ) -> FeatureMatrix:
@@ -556,17 +541,13 @@ def build_matrix(
     users, each under `PAIR_BUDGET` pairs unless one user alone exceeds it.
     """
     extractor = FeatureExtractor(dataset, candidates)
-    if rows is None:
-        per_user: list[tuple[int, list[int]]] = [
-            (u, cl.items()) for u, cl in candidates.items()
-        ]
+    if rows is None:  # the table's rows, user by user
+        per_user = [(u, cl.items()) for u, cl in candidates.items() if len(cl)]
     else:
         grouped: dict[int, list[int]] = {}
         for u, i in rows:
             grouped.setdefault(u, []).append(i)
         per_user = list(grouped.items())
-
-    per_user = [(u, its) for u, its in per_user if its]
     sizes = [len(its) for _, its in per_user]
     values = np.empty((sum(sizes), len(extractor.schema)), dtype=np.float64)
     lo = 0

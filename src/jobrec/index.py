@@ -55,15 +55,25 @@ def indicator_matrix(sets: Sequence[Iterable[int]], col_of: Mapping[int, int]) -
     return out
 
 
-def _count_product(a: np.ndarray, bound: int) -> np.ndarray:
+# rows of a count table whose positions fit int32: the largest n with n * n < 2**31
+COUNT_TABLE_ROWS = 46_340
+
+
+def _count_product(a: np.ndarray, bound: int, table: str) -> np.ndarray:
     """a @ a.T for a 0/1 matrix, as exact counts in the smallest unsigned
     dtype that holds `bound`, a bound on every entry (the largest row sum).
 
     float32 products sum integers exactly below 2**24; positions in the
     table fit int32. The product runs over blocks of 256 rows, upper
     triangle only, so no float32 copy of `a` or of the table is made.
+    `ValueError` naming the `table` when either limit is exceeded.
     """
-    assert 0 <= bound < 2**24 and len(a) ** 2 < 2**31, (bound, len(a))
+    if len(a) > COUNT_TABLE_ROWS:
+        raise ValueError(f"{table}: {len(a)} rows exceed the limit of {COUNT_TABLE_ROWS} rows, "
+                         "whose table positions fit int32")
+    if not 0 <= bound < 2**24:
+        raise ValueError(f"{table}: counts up to {bound} reach the limit of 2**24, "
+                         "below which float32 sums are exact")
     step = 256
     out = np.empty((len(a), len(a)), dtype=np.min_scalar_type(bound))
     for lo in range(0, len(a), step):
@@ -307,26 +317,28 @@ class DatasetIndex:
     @cached_property
     def co_users(self) -> Mapping[str, np.ndarray]:
         """Per source, item x item counts of users shared by the two items."""
-        return MappingProxyType({src: _count_product(mat, deg.max(initial=0))
+        return MappingProxyType({src: _count_product(mat, deg.max(initial=0), "co_users")
                                  for src, (mat, deg, _) in self.item_users.items()})
 
     @cached_property
     def token_overlap(self) -> tuple[np.ndarray, ...]:
         """Per field of `TOKEN_FIELDS`, item x item counts of shared tokens;
         read by the content-knn generators and the `common_*` features."""
-        return tuple(_count_product(f, f.sum(axis=1).max(initial=0)) for f in self.tokens)
+        return tuple(_count_product(f, f.sum(axis=1).max(initial=0), "token_overlap")
+                     for f in self.tokens)
 
     @cached_property
     def shared_items(self) -> Mapping[str, np.ndarray]:
         """Per source, user x user counts of items both users have."""
-        return MappingProxyType({src: _count_product(mat.T, user_deg.max(initial=0))
-                                 for src, (mat, _, user_deg) in self.item_users.items()})
+        return MappingProxyType({
+            src: _count_product(mat.T, user_deg.max(initial=0), "shared_items")
+            for src, (mat, _, user_deg) in self.item_users.items()})
 
     @cached_property
     def shared_roles(self) -> np.ndarray:
         """User x user counts of job roles both users hold."""
         roles = self.jobroles[1]
-        return _count_product(roles, roles.sum(axis=1).max(initial=0))
+        return _count_product(roles, roles.sum(axis=1).max(initial=0), "shared_roles")
 
     @cached_property
     def attr_codes(self) -> tuple[np.ndarray, int]:

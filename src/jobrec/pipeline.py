@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .candidates import CandidateList
+from .candidates import CandidateTable
 from .dataio import DataFormatError, _write_tsv, format_provenance
 from .entities import Dataset, GroundTruth
 from .evaluation import MAX_ITEMS
@@ -36,33 +36,27 @@ class TrainingFile:
 
 def _sample_rows(
     users: Sequence[int],
-    candidates: Mapping[int, CandidateList],
+    candidates: CandidateTable,
     ground_truth: GroundTruth,
     seed: int,
-    negatives: str,
+    quarter: bool,
 ) -> list[tuple[int, int, int]]:
+    """Per user, the candidates in the truth in list order, then a seeded
+    sample of at most 5 of the others (a quarter of them when `quarter`)."""
     rows: list[tuple[int, int, int]] = []
     for u in users:
-        truth = ground_truth.get(u, set())
-        items = candidates[u].items()
-        positives = [i for i in items if i in truth]
+        truth, items = ground_truth[u], candidates[u].items()
         pool = [i for i in items if i not in truth]
-        if negatives == "five":
-            k = min(5, len(pool))
-        else:
-            k = len(pool) // 4
-        if k > 0:
-            rng = np.random.default_rng(stable_hash(seed, u))
-            chosen = [pool[j] for j in rng.choice(len(pool), size=k, replace=False)]
-        else:
-            chosen = []
-        rows.extend((u, i, 1) for i in positives)
-        rows.extend((u, i, 0) for i in chosen)
+        k = len(pool) // 4 if quarter else min(5, len(pool))
+        picks = []
+        if k:
+            picks = np.random.default_rng(stable_hash(seed, u)).choice(len(pool), k, replace=False)
+        rows += [(u, i, 1) for i in items if i in truth] + [(u, pool[j], 0) for j in picks]
     return rows
 
 
 def build_training_file(
-    candidates: Mapping[int, CandidateList],
+    candidates: CandidateTable,
     ground_truth: GroundTruth,
     mode: str = "paper",
     seed: int = 0,
@@ -81,18 +75,13 @@ def build_training_file(
     eligible = [u for u in sorted(ground_truth) if u in candidates and len(candidates[u]) > 0]
     order = sorted(eligible, key=lambda u: (stable_hash(seed, u), u))
     half = (len(order) + 1) // 2
-    train_users, valid_users = sorted(order[:half]), sorted(order[half:])
-
-    if mode == "paper":
-        train_rows = _sample_rows(train_users, candidates, ground_truth, seed, "five")
-    else:
-        train_rows = _sample_rows(sorted(eligible), candidates, ground_truth, seed, "quarter")
-    valid_rows = _sample_rows(valid_users, candidates, ground_truth, seed, "five")
+    train_users = sorted(order[:half]) if mode == "paper" else eligible
+    valid_users = sorted(order[half:])
     return TrainingFile(
-        train_users=train_users if mode == "paper" else sorted(eligible),
+        train_users=train_users,
         valid_users=valid_users,
-        train_rows=train_rows,
-        valid_rows=valid_rows,
+        train_rows=_sample_rows(train_users, candidates, ground_truth, seed, mode == "extended"),
+        valid_rows=_sample_rows(valid_users, candidates, ground_truth, seed, False),
     )
 
 

@@ -7,6 +7,10 @@ default so a test only spells out what it is actually exercising.
 
 from __future__ import annotations
 
+import numpy as np
+from hypothesis import strategies as st
+
+from jobrec.candidates import SLOT_NAMES, CandidateTable
 from jobrec.entities import (
     Dataset,
     EventLog,
@@ -16,6 +20,36 @@ from jobrec.entities import (
     Item,
     User,
 )
+
+
+def candidate_table(lists):
+    """A CandidateTable from user -> item -> slot -> rank dicts, users and
+    items in dict order."""
+    rows = [slots for items in lists.values() for slots in items.values()]
+    ranks = np.zeros((len(rows), len(SLOT_NAMES)), dtype=np.int64)
+    for row, slots in enumerate(rows):
+        for slot, rank in slots.items():
+            ranks[row, SLOT_NAMES.index(slot)] = rank
+    return CandidateTable(list(lists), np.cumsum([0, *map(len, lists.values())]),
+                          [i for items in lists.values() for i in items], ranks)
+
+
+@st.composite
+def rank_lists(draw, max_users=6, max_items=12, max_rank=60):
+    """user -> item -> slot -> rank dicts for `candidate_table`: distinct
+    users, distinct items per user, each item ranked in one to four slots."""
+    lists = {}
+    for u in draw(st.lists(st.integers(0, 40), unique=True, max_size=max_users)):
+        items = draw(st.lists(st.integers(0, 30), unique=True, max_size=max_items))
+        lists[u] = {i: draw(st.dictionaries(st.sampled_from(SLOT_NAMES), st.integers(1, max_rank),
+                                            min_size=1, max_size=4)) for i in items}
+    return lists
+
+
+def ranked(items, slot="global_popular"):
+    """item -> {slot: rank}, ranks 1, 2, ... in list order."""
+    return {i: {slot: rank} for rank, i in enumerate(items, start=1)}
+
 
 KIND = {
     "click": InteractionKind.CLICK,

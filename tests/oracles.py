@@ -5,6 +5,7 @@ with no code shared with the package beyond the entity data model. Tests
 compare library output against these, so any agreement is meaningful.
 """
 
+import hashlib
 import weakref
 from bisect import bisect_right
 from typing import Sequence
@@ -17,6 +18,41 @@ from jobrec.entities import DAY_SECONDS, InteractionKind, POSITIVE_KINDS, WEEK_S
 from jobrec.features import GEO_SENTINEL, SENTINEL, FeatureExtractor, FeatureMatrix
 
 _ATTRS = ["career_level", "discipline_id", "industry_id", "country", "region"]
+
+
+# ------------------------------------------------------------- training file
+
+
+def _hash_oracle(seed, value):
+    digest = hashlib.blake2b(f"{seed}:{value}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+def training_file_oracle(lists, truth, mode, seed):
+    """(train users, valid users, train rows, valid rows) of
+    build_training_file, from user -> item -> slot -> rank dicts, with the
+    dict loops it ran before candidate lists became one rank table."""
+    eligible = sorted(u for u in truth if lists.get(u))
+    order = sorted(eligible, key=lambda u: (_hash_oracle(seed, u), u))
+    half = (len(order) + 1) // 2
+    train_users, valid_users = sorted(order[:half]), sorted(order[half:])
+
+    def sample(users, quarter):
+        rows = []
+        for u in users:
+            items = list(lists[u])
+            pool = [i for i in items if i not in truth[u]]
+            k = len(pool) // 4 if quarter else min(5, len(pool))
+            chosen = []
+            if k > 0:
+                rng = np.random.default_rng(_hash_oracle(seed, u))
+                chosen = [pool[j] for j in rng.choice(len(pool), size=k, replace=False)]
+            rows += [(u, i, 1) for i in items if i in truth[u]] + [(u, i, 0) for i in chosen]
+        return rows
+
+    if mode == "extended":
+        return eligible, valid_users, sample(eligible, True), sample(valid_users, False)
+    return train_users, valid_users, sample(train_users, False), sample(valid_users, False)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -846,8 +882,9 @@ class _BlockOracle:
             )
 
         # ---- candidate positions
+        slot_ranks = cl.ranks
         for r, i in enumerate(cand_ids):
-            ranks = cl.ranks[i]
+            ranks = slot_ranks[i]
             for slot in SLOT_NAMES:
                 out[r, col(f"pos_{slot}")] = float(ranks[slot]) if slot in ranks else SENTINEL
 

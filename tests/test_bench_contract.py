@@ -58,3 +58,34 @@ def test_dataset_attributes_the_tracer_reads(tmp_path):
     assert deleted
     for u in ds.users:
         assert ev.del_items(u) == deleted.get(u, set()), u
+
+
+def test_generate_all_reads_as_the_benchmark_reads_it(monkeypatch):
+    """`bench/spans.py` wraps `CandidateGenerator.generate` by name, and
+    `bench/layers.py` and `bench/worker.py` read the lists `generate_all`
+    returns: `.values()`, `.items()`, `len` of a list, `int(u) in lists` and
+    `item in lists[int(u)]`. `generate_all` calls `generate` once per user,
+    through the class attribute the tracer replaces."""
+    from jobrec import candidates, synth
+
+    ds = synth.generate(synth.SynthConfig(users=30, items=50, weeks=3, seed=4))
+    calls = []
+    generate = candidates.CandidateGenerator.generate
+
+    def counted(self, user_id):
+        calls.append(user_id)
+        return generate(self, user_id)
+
+    monkeypatch.setattr(candidates.CandidateGenerator, "generate", counted)
+    users = sorted(ds.users)
+    lists = candidates.CandidateGenerator(ds).generate_all(users + users[:3])
+    assert calls == users
+
+    assert sum(len(cl) for cl in lists.values()) == len(lists.item_ids) > 0
+    assert [u for u, _ in lists.items()] == users
+    assert sorted(u for u, cl in lists.items() if len(cl) > 0) == users
+    for u in users:
+        cl = lists[int(u)]
+        assert int(u) in lists and all(i in cl for i in cl.items())
+        assert -1 not in cl and 10**30 not in cl
+    assert -1 not in lists

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from jobrec.candidates import (
     CandidateGenerator,
+    CandidateTable,
     GeneratorId,
     SLOT_COLUMNS,
     SLOT_NAMES,
@@ -18,14 +19,20 @@ from jobrec.candidates import (
     load_candidates,
     save_candidates,
 )
-from jobrec.dataio import DataFormatError
+from jobrec.dataio import RUN_CHARS, DataFormatError
 from jobrec.entities import WEEK_SECONDS
 
 import oracles
-from conftest import KIND, ev, imp, make_dataset, make_item, make_user
+from conftest import KIND, candidate_table, ev, imp, make_dataset, make_item, make_user, rank_lists
 
 
 WEEK = WEEK_SECONDS
+
+
+def assert_tables_equal(a, b):
+    for name in ("user_ids", "ptr", "item_ids", "ranks"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def random_dataset(rng, n_users=30, n_items=60, n_events=200, n_imps=200, weeks=6, shift=0):
@@ -289,7 +296,8 @@ class TestContentKnnCrossFields:
         crossings = {("tags", "title"), ("title", "tags")}
         assert crossings & scored == (set() if kind == "disjoint" else crossings)
 
-    @pytest.mark.parametrize("kind, dtype", [("shared", np.uint8), ("wide", np.uint16)])
+    @pytest.mark.parametrize("kind, dtype", [("shared", np.uint8), ("wide", np.uint16),
+                                             ("disjoint", np.uint8)])
     def test_table_holds_every_count(self, kind, dtype):
         ds = knn_fields_dataset(kind)
         gen = CandidateGenerator(ds)
@@ -466,6 +474,58 @@ class TestOracleSweep:
             assert len(merged) <= 15 * 7
 
 
+class TestCandidateTable:
+    def lists(self):
+        return {7: {30: {"global_popular": 2}, 10: {"recent_interactions": 1}},
+                3: {31: {"jobroles_tags": 300}}, 5: {}}
+
+    def test_views_slice_the_table(self):
+        table = candidate_table(self.lists())
+        assert list(table) == [7, 3, 5] and len(table) == 3
+        assert table.ranks.dtype == np.uint16 and table.ptr.tolist() == [0, 2, 3, 3]
+        cl = table[7]
+        assert cl.user_id == 7 and cl.items() == [30, 10] and len(cl) == 2
+        assert np.shares_memory(cl.slot_ranks, table.ranks)
+        assert 10 in cl and 31 not in cl and len(table[5]) == 0
+        assert 99 not in table and table.get(99) is None
+        with pytest.raises(KeyError):
+            table[99]
+
+    def test_rows_of_pairs_in_any_order(self):
+        table = candidate_table(self.lists())
+        assert table.rows_of([3, 7, 7], [31, 10, 30]).tolist() == [2, 1, 0]
+        assert table.rows_of([], []).tolist() == []
+
+    @pytest.mark.parametrize("users, items, message", [
+        ([7, 5, 99], [10, 30, 1], r"^pair \(5, 30\) is not in the candidate list$"),
+        ([7, 99, 5], [10, 1, 30], "^user 99 has no candidate list$"),
+        ([3], [30], r"^pair \(3, 30\) is not in the candidate list$"),
+    ])
+    def test_rows_of_names_the_first_missing_pair(self, users, items, message):
+        with pytest.raises(ValueError, match=message):
+            candidate_table(self.lists()).rows_of(users, items)
+
+    def test_empty_table(self):
+        table = candidate_table({})
+        assert len(table) == 0 and table.ranks.shape == (0, len(SLOT_NAMES))
+        with pytest.raises(ValueError, match="^user 1 has no candidate list$"):
+            table.rows_of([1], [2])
+
+    def test_a_user_owns_one_run_of_rows(self):
+        with pytest.raises(ValueError, match="more than one run"):
+            CandidateTable([1, 1], [0, 1, 2], [5, 6], np.ones((2, len(SLOT_NAMES))))
+
+    def test_generate_all_stacks_generate(self):
+        rng = np.random.default_rng(8)
+        ds = random_dataset(rng, n_users=8)
+        gen = CandidateGenerator(ds, cap=7)
+        table = gen.generate_all([3, 1, 3, 2])
+        assert list(table) == [3, 1, 2] and table.ranks.dtype == np.uint8
+        for u in table:
+            assert table[u].ranks == gen.generate(u).ranks
+            assert table[u].items() == gen.generate(u).items()
+
+
 class TestCoverage:
     def test_superset_is_one(self):
         ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)])
@@ -508,6 +568,83 @@ class TestRoundTrip:
     def write_rows(self, path, *rows):
         header = "\t".join(["user_id", "item_id"] + SLOT_NAMES)
         path.write_text("\n".join([header, *rows]) + "\n")
+
+    @staticmethod
+    def row(user, item, **ranks):
+        return "\t".join([str(user), str(item), *(str(ranks.get(s, "")) for s in SLOT_NAMES)])
+
+    def assert_round_trip(self, table, path, want=None):
+        """save -> load gives an equal table (`want`, when some list is empty:
+        a file holds no row for it), and saving it again the same bytes."""
+        save_candidates(table, path, provenance={"stage": "candidates"})
+        first = path.read_bytes()
+        back = load_candidates(path)
+        assert_tables_equal(back, table if want is None else want)
+        save_candidates(back, path, provenance={"stage": "candidates"})
+        assert path.read_bytes() == first
+        return back
+
+    def test_interleaved_users_group_in_order_of_first_row(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        self.write_rows(path, self.row(7, 30, global_popular=2), self.row(3, 31, jobroles_tags=1),
+                        self.row(7, 10, recent_interactions=1, global_popular=1),
+                        self.row(3, 30, jobroles_tags=2), self.row(5, 30, global_popular=1))
+        table = load_candidates(path)
+        assert list(table) == [7, 3, 5]
+        assert [table[u].items() for u in table] == [[30, 10], [31, 30], [30]]
+        assert table[7].ranks == {30: {"global_popular": 2},
+                                  10: {"recent_interactions": 1, "global_popular": 1}}
+        self.assert_round_trip(table, tmp_path / "again.tsv")
+
+    def test_single_item_users(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        self.write_rows(path, *(self.row(u, 100 + u, content_imp_title_tags=u)
+                                for u in range(1, 6)))
+        table = load_candidates(path)
+        assert [len(table[u]) for u in table] == [1] * 5
+        assert table.ptr.tolist() == list(range(6))
+        self.assert_round_trip(table, tmp_path / "again.tsv")
+
+    def test_ranks_above_255_widen_the_dtype(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        self.write_rows(path, self.row(1, 10, global_popular=255),
+                        self.row(1, 11, global_popular=256, recent_impressions=70000))
+        table = load_candidates(path)
+        assert table.ranks.dtype == np.uint32
+        assert table[1].ranks[11] == {"recent_impressions": 70000, "global_popular": 256}
+        self.assert_round_trip(table, tmp_path / "again.tsv")
+        self.write_rows(path, self.row(1, 10, global_popular=255))
+        assert load_candidates(path).ranks.dtype == np.uint8
+
+    def test_empty_file_and_header_order(self, tmp_path):
+        path = tmp_path / "cands.tsv"
+        self.write_rows(path)
+        assert len(load_candidates(path)) == 0
+        self.assert_round_trip(load_candidates(path), tmp_path / "again.tsv")
+        # columns in any order, an extra column ignored
+        header = ["extra", *reversed(SLOT_NAMES), "item_id", "user_id"]
+        path.write_text("\t".join(header) + "\n" + "\t".join(
+            ["x", "4", *[""] * (len(SLOT_NAMES) - 1), "9", "2"]) + "\n")
+        assert load_candidates(path)[2].ranks == {9: {"global_popular": 4}}
+
+    def test_long_file_reads_across_runs(self, tmp_path):
+        rng = np.random.default_rng(3)
+        lists = {u: {i: {SLOT_NAMES[int(s)]: int(r) + 1}
+                     for i, s, r in zip(rng.choice(5000, 300, replace=False),
+                                        rng.integers(0, 15, 300), rng.integers(0, 60, 300))}
+                 for u in rng.choice(100000, 40, replace=False).tolist()}
+        table = candidate_table(lists)
+        assert len(table.item_ids) * 40 > RUN_CHARS
+        self.assert_round_trip(table, tmp_path / "cands.tsv")
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rank_lists(max_rank=300))
+    def test_random_tables_round_trip(self, tmp_path_factory, lists):
+        listed = {u: items for u, items in lists.items() if items}
+        back = self.assert_round_trip(candidate_table(lists),
+                                      tmp_path_factory.mktemp("cands") / "cands.tsv",
+                                      candidate_table(listed))
+        assert {u: back[u].ranks for u in back} == listed
 
     def test_repeated_pair_rejected_at_second_row(self, tmp_path):
         blanks = "\t" * (len(SLOT_NAMES) - 1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jobrec import features
-from jobrec.candidates import CandidateGenerator, CandidateList, SLOT_NAMES, save_candidates, load_candidates
+from jobrec.candidates import CandidateGenerator, SLOT_NAMES, save_candidates, load_candidates
 from jobrec.dataio import DataFormatError
 from jobrec.entities import DAY_SECONDS, POSITIVE_KINDS, WEEK_SECONDS
 from jobrec.features import (
@@ -24,19 +24,12 @@ from jobrec.pipeline import build_training_file
 from jobrec.split import build_ground_truth, temporal_split
 from jobrec.synth import SynthConfig, generate
 
-from conftest import KIND, ev, imp, make_dataset, make_item, make_user
+from conftest import KIND, candidate_table, ev, imp, make_dataset, make_item, make_user, ranked
 from oracles import block_oracle, build_matrix_oracle
 
 
-def cand_list(u, items, slot="global_popular"):
-    cl = CandidateList(u)
-    for rank, i in enumerate(items, start=1):
-        cl.add(i, slot, rank)
-    return cl
-
-
 def one_block(ds, u, items):
-    ext = FeatureExtractor(ds, {u: cand_list(u, items)})
+    ext = FeatureExtractor(ds, candidate_table({u: ranked(items)}))
     return ext.block([(u, i) for i in items]), ext.schema
 
 
@@ -424,12 +417,10 @@ class TestCommonTokens:
 
 class TestCandidatePosition:
     def test_rank_passthrough_and_sentinels(self):
-        cl = CandidateList(1)
-        cl.add(101, "recent_interactions", 1)
-        cl.add(101, "global_popular", 7)
-        cl.add(102, "global_popular", 1)
+        cands = candidate_table({1: {101: {"recent_interactions": 1, "global_popular": 7},
+                                     102: {"global_popular": 1}}})
         ds = make_dataset([make_user(1)], [make_item(101), make_item(102)], [ev(1, 101, ts=1)])
-        ext = FeatureExtractor(ds, {1: cl})
+        ext = FeatureExtractor(ds, cands)
         block = ext.block([(1, 101), (1, 102)])
         schema = ext.schema
         assert val(block, schema, 0, "pos_recent_interactions") == 1.0
@@ -440,25 +431,25 @@ class TestCandidatePosition:
 
     def test_pair_not_in_list_rejected(self):
         ds = make_dataset([make_user(1)], [make_item(101), make_item(102)], [ev(1, 101, ts=1)])
-        ext = FeatureExtractor(ds, {1: cand_list(1, [101])})
+        ext = FeatureExtractor(ds, candidate_table({1: ranked([101])}))
         with pytest.raises(ValueError):
             ext.block([(1, 102)])
 
     def test_unknown_user_rejected(self):
         ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)])
-        ext = FeatureExtractor(ds, {})
+        ext = FeatureExtractor(ds, candidate_table({}))
         with pytest.raises(ValueError):
             ext.block([(1, 101)])
 
     def test_user_missing_from_the_table_rejected(self):
         ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)])
-        ext = FeatureExtractor(ds, {u: cand_list(u, [101]) for u in (1, 99)})
+        ext = FeatureExtractor(ds, candidate_table({u: ranked([101]) for u in (1, 99)}))
         with pytest.raises(ValueError, match="^user 99 is not in the user table$"):
             ext.block([(1, 101), (99, 101)])
 
     def test_candidate_item_missing_from_the_table_rejected(self):
         ds = make_dataset([make_user(1)], [make_item(101)], [ev(1, 101, ts=1)])
-        cands = {1: cand_list(1, [101, 999])}
+        cands = candidate_table({1: ranked([101, 999])})
         with pytest.raises(ValueError, match="^item 999 is not in the item table$"):
             FeatureExtractor(ds, cands).block([(1, 999)])
         with pytest.raises(ValueError, match="^item 999 is not in the item table$"):
@@ -471,7 +462,7 @@ class TestCandidatePosition:
         with pytest.raises(ValueError, match=message):
             CandidateGenerator(ds)
         with pytest.raises(ValueError, match=message):
-            build_matrix(ds, {1: cand_list(1, [101])})
+            build_matrix(ds, candidate_table({1: ranked([101])}))
 
     def test_ranks_match_saved_candidates(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -764,7 +755,7 @@ class TestBuildMatrix:
         train, _ = temporal_split(full, holdout_weeks=1)
         span = full.events.max_timestamp - train.events.max_timestamp
         assert span > 0
-        cands = {1: cand_list(1, [101])}
+        cands = candidate_table({1: ranked([101])})
         f_full, schema = one_block(full, 1, [101])
         ext_train = FeatureExtractor(train, cands)
         f_train = ext_train.block([(1, 101)])
@@ -826,11 +817,9 @@ def tiny_variant(draw, lonely_item=False):
     ds = make_dataset(users, items, rows, imps)
     cands = {}
     for u in [*range(1, n_users + 1), idle, viewer]:
-        cl = CandidateList(u)
-        for rank, i in enumerate(draw(st.permutations(sorted(ds.items))), start=1):
-            cl.add(i, draw(st.sampled_from(SLOT_NAMES)), rank)
-        cands[u] = cl
-    return ds, cands
+        cands[u] = {i: {draw(st.sampled_from(SLOT_NAMES)): rank}
+                    for rank, i in enumerate(draw(st.permutations(sorted(ds.items))), start=1)}
+    return ds, candidate_table(cands)
 
 
 class TestBlockMatchesOracle:

@@ -1,11 +1,13 @@
 """The per-variant DatasetIndex: shared by every stage, read-only, lazy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from jobrec.candidates import CandidateGenerator
 from jobrec.features import FeatureExtractor, build_matrix
-from jobrec.index import DatasetIndex
+from jobrec.index import COUNT_TABLE_ROWS, DatasetIndex, _count_product
 from jobrec.split import build_ground_truth, temporal_split
 from jobrec.synth import SynthConfig, generate
 
@@ -149,3 +151,28 @@ class TestOneUserRelation:
                 assert got == want, (src, u)
                 pairs += len(want)
             assert pairs > 0
+
+
+class TestCountProductLimits:
+    def test_too_many_rows_rejected_before_allocating(self):
+        rows = np.zeros((COUNT_TABLE_ROWS + 1, 1), dtype=np.uint8)
+        assert len(rows) == 46_341
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^shared_items: 46341 rows exceed the limit "
+                                                 r"of 46340 rows"):
+                _count_product(rows, 1, "shared_items")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the table would take 2 GB
+
+    def test_bound_at_float32_limit_rejected(self):
+        for table in ("co_users", "token_overlap", "shared_roles"):
+            with pytest.raises(ValueError, match=rf"^{table}: counts up to 16777216 reach "
+                                                 r"the limit of 2\*\*24"):
+                _count_product(np.ones((3, 2), dtype=np.uint8), 2**24, table)
+
+    def test_largest_shapes_within_limits_accepted(self):
+        table = _count_product(np.ones((3, 2), dtype=np.uint8), 2**24 - 1, "co_users")
+        assert table.dtype == np.uint32 and (table == 2).all()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jobrec.candidates import CandidateList
 from jobrec.entities import WEEK_SECONDS
 from jobrec.features import build_schema, FeatureMatrix
 from jobrec.gbdt import TrainConfig, train
@@ -23,14 +22,8 @@ from jobrec.pipeline import (
 )
 
 import oracles
-from conftest import KIND, ev, imp, make_dataset, make_item, make_user
-
-
-def cand_list(u, items):
-    cl = CandidateList(u)
-    for rank, i in enumerate(items, start=1):
-        cl.add(i, "global_popular", rank)
-    return cl
+from conftest import (
+    KIND, candidate_table, ev, imp, make_dataset, make_item, make_user, rank_lists, ranked)
 
 
 class StubSchema:
@@ -71,9 +64,9 @@ class TestTrainingFile:
         cands = {}
         for u in range(1, n_users + 1):
             items = [u * 100 + j for j in range(n_cands)]
-            cands[u] = cand_list(u, items)
+            cands[u] = ranked(items)
             truth[u] = set(items[:n_pos])
-        return truth, cands
+        return truth, candidate_table(cands)
 
     def test_paper_mode_two_pos_plus_five_negs(self):
         truth, cands = self.truth_and_cands(n_users=1, n_cands=14, n_pos=2)
@@ -91,7 +84,7 @@ class TestTrainingFile:
 
     def test_user_without_covered_positives_still_included(self):
         # ground truth items that never made the candidate list
-        cands = {1: cand_list(1, [11, 12, 13])}
+        cands = candidate_table({1: ranked([11, 12, 13])})
         truth = {1: {999}}
         tf = build_training_file(cands, truth, mode="paper", seed=0)
         rows = tf.train_rows + tf.valid_rows
@@ -129,7 +122,7 @@ class TestTrainingFile:
         assert a.train_users != c.train_users
 
     def test_empty_candidate_list_user_excluded(self):
-        cands = {1: cand_list(1, [11]), 2: cand_list(2, [])}
+        cands = candidate_table({1: ranked([11]), 2: ranked([])})
         truth = {1: {11}, 2: {22}}
         tf = build_training_file(cands, truth, mode="paper", seed=0)
         users = set(tf.train_users) | set(tf.valid_users)
@@ -144,6 +137,53 @@ class TestTrainingFile:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             build_training_file({}, {}, mode="all")
+
+
+@st.composite
+def tables_and_truths(draw):
+    """Random rank lists and a ground truth over their users and two users
+    with no list; truth sets mix listed items with items no list holds."""
+    lists = draw(rank_lists(max_users=8, max_items=16))
+    users = sorted(lists) + [98, 99]
+    truth = {}
+    for u in draw(st.lists(st.sampled_from(users), unique=True)):
+        listed = sorted(lists.get(u, ()))
+        items = draw(st.sets(st.sampled_from(listed), max_size=4)) if listed else set()
+        truth[u] = items | draw(st.sets(st.integers(50, 54), min_size=0 if items else 1,
+                                        max_size=2))
+    return lists, truth
+
+
+class TestTrainingFileProperties:
+    """build_training_file on random rank tables and truths."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tables_and_truths(), st.sampled_from(["paper", "extended"]), st.integers(0, 2**32))
+    def test_random_tables(self, case, mode, seed):
+        lists, truth = case
+        tf = build_training_file(candidate_table(lists), truth, mode, seed)
+        assert (tf.train_users, tf.valid_users, tf.train_rows, tf.valid_rows) == \
+            oracles.training_file_oracle(lists, truth, mode, seed)
+
+        eligible = sorted(u for u in truth if lists.get(u))
+        if mode == "paper":
+            assert len(tf.train_users) == (len(eligible) + 1) // 2
+            assert not set(tf.train_users) & set(tf.valid_users)
+            assert sorted(tf.train_users + tf.valid_users) == eligible
+        else:
+            assert tf.train_users == eligible
+            assert len(tf.valid_users) == len(eligible) // 2
+            assert set(tf.valid_users) <= set(eligible)
+        for users, rows, quarter in ((tf.train_users, tf.train_rows, mode == "extended"),
+                                     (tf.valid_users, tf.valid_rows, False)):
+            assert {u for u, _, _ in rows} <= set(users)
+            for u in users:
+                pool = [i for i in lists[u] if i not in truth[u]]
+                negatives = [i for v, i, y in rows if v == u and not y]
+                # every positive is kept; negatives come from the pool, each once
+                assert {i for v, i, y in rows if v == u and y} == set(lists[u]) & truth[u]
+                assert len(negatives) == (len(pool) // 4 if quarter else min(5, len(pool)))
+                assert len(set(negatives)) == len(negatives) and set(negatives) <= set(pool)
 
 
 class TestRankAndSelect:
